@@ -25,6 +25,9 @@ from .stft import StftConfig, analyze, synthesize
 
 RESULT_SCHEMA_VERSION = 1
 
+# Relative eigenvalue below which the channel covariance counts as rank-deficient.
+RANK_TOLERANCE = 1e-12
+
 PRESET_BASES = {"music": 5, "speech": 2}
 
 
@@ -88,9 +91,6 @@ def build_parser():
                      help="allowed-distortion filter length for SDR")
     sep.add_argument("--ref-channel", type=int, default=1,
                      help="1-based reference channel for evaluation")
-    par = sep.add_mutually_exclusive_group()
-    par.add_argument("--parallel", action="store_true")
-    par.add_argument("--sequential", action="store_true", default=True)
     sep.add_argument("--out", default="tilrma-out")
 
     syn = sub.add_parser("synthetic", help="run the seeded synthetic harness")
@@ -121,25 +121,42 @@ def _build_hyper(args, num_bases):
         iterations=args.iters,
         schedule=schedule,
         seed=args.seed,
-        parallel=getattr(args, "parallel", False),
     )
 
 
-def _hyper_json(hp):
-    return {
-        "nu": "inf" if math.isinf(hp.nu) else hp.nu,
-        "p": hp.p,
-        "num_bases": hp.num_bases,
-        "iterations": hp.iterations,
-        "seed": hp.seed,
-        "parallel": hp.parallel,
-        "schedule": None
-        if hp.schedule is None
-        else {
-            "gaussian_iters": hp.schedule.gaussian_iters,
-            "refit_iters": hp.schedule.refit_iters,
-        },
-    }
+def _check_channel_rank(samples):
+    """Reject non-finite samples, and channels that are silent or copies of one another.
+
+    Separation needs as many independent channels as sources.  When the
+    smallest eigenvalue of the M x M channel covariance is at most
+    RANK_TOLERANCE times the largest, the demixing problem is singular in
+    every bin; the message names the silent channels or, failing that, the
+    channels in the covariance's null direction.
+    """
+    if not np.all(np.isfinite(samples)):
+        raise TilrmaError("input samples must be finite")
+    gram = samples.T @ samples
+    eigvals, eigvecs = np.linalg.eigh(gram)
+    if eigvals[0] > RANK_TOLERANCE * eigvals[-1]:
+        return
+    energy = np.diag(gram)
+    silent = np.flatnonzero(energy <= RANK_TOLERANCE * np.max(energy)) + 1
+    if silent.size:
+        names = ", ".join(str(k) for k in silent)
+        raise TilrmaError(
+            f"silent channel(s) {names}: separation needs as many independent "
+            "channels as sources; drop or replace the dead channel"
+        )
+    null = np.abs(eigvecs[:, 0])
+    involved = np.flatnonzero(null >= 0.1 * np.max(null)) + 1
+    copy, others = involved[-1], involved[:-1]
+    if not others.size:
+        others = np.setdiff1d(np.arange(1, null.size + 1), copy)
+    raise TilrmaError(
+        f"channel {copy} duplicates channel(s) {', '.join(str(k) for k in others)} "
+        "(it is a linear combination of them): separation needs as many "
+        "independent channels as sources; drop or replace the duplicated channel"
+    )
 
 
 def cmd_separate(args):
@@ -150,6 +167,7 @@ def cmd_separate(args):
     ref_channel = args.ref_channel - 1
     if not 0 <= ref_channel < num_channels:
         raise TilrmaError(f"reference channel {args.ref_channel} out of range")
+    _check_channel_rank(samples)
 
     num_bases = args.bases if args.bases is not None else PRESET_BASES[args.preset]
     cfg = RunConfig(
@@ -188,7 +206,7 @@ def cmd_separate(args):
             "window_samples": cfg.stft.window_samples,
             "shift_samples": cfg.stft.shift_samples,
         },
-        "hyperparams": _hyper_json(cfg.hyper),
+        "hyperparams": cfg.hyper.to_json(),
         "sources": source_paths,
         "cost_trace": [float(c) for c in result.cost_trace],
         "stage_boundary": result.metadata["stage_boundary"],

@@ -1,43 +1,97 @@
 """Spatial half of the separation: weighted covariances, iterative-projection
 row updates, per-iteration rescaling, and back-projection to source images.
 
-All operations here work on one frequency bin at a time; bins are mutually
-independent, so the engine is free to sweep them in any order or in parallel
-as long as each bin's demixing matrix is mutated exclusively.
+Frequency bins are mutually independent, so every operation here takes the
+whole stack of bins at once, one source or one demixing row at a time: the
+matrices of all bins go through one stacked numpy call.  A bin whose matrix
+LAPACK cannot factor, or whose result is not finite, is flagged or named in
+a ``SingularMatrixError``; numpy's ``LinAlgError`` never escapes.
 """
 
 import math
 
 import numpy as np
 
-from . import linalg
 from .errors import DegenerateSourceError, SingularMatrixError
 
 # Sources whose average power drops below this are considered collapsed.
 DEGENERATE_POWER = 1e-150
 
+# An IP rescaling by a quadratic form below this is treated as singular.
 PIVOT_FLOOR = 1e-300
 
 
-def weighted_covariance(x_frames, y, sigma_sq, nu):
-    """Weighted sample covariance for one (bin, source) pair.
+def _stacked(op, out_shape, *stacks):
+    """``op`` on stacks of bins, with NaN in the bins where LAPACK fails.
+
+    A stacked numpy.linalg call raises for the whole stack when one matrix
+    is exactly singular; only then is the stack walked bin by bin.
+    """
+    try:
+        return op(*stacks)
+    except np.linalg.LinAlgError:
+        out = np.full(out_shape, np.nan, dtype=np.complex128)
+        for i, args in enumerate(zip(*stacks)):
+            try:
+                out[i] = op(*args)
+            except np.linalg.LinAlgError:
+                pass  # stays NaN; the caller's finiteness check flags the bin
+        return out
+
+
+def solve_unit(mats, n):
+    """Solve mats[i] v_i = e_n in every bin, without forming an inverse.
 
     Parameters
     ----------
-    x_frames: ndarray (channels, frames), complex
-        Observed vectors of this bin, one column per frame.
-    y: ndarray (frames,), complex
-        Current estimate of this source in this bin.
-    sigma_sq: ndarray (frames,)
-        Squared scale of this source in this bin.
+    mats: ndarray (bins, M, M), complex
+    n: int
+        Index of the unit vector.
+
+    Returns
+    -------
+    ndarray (bins, M); NaN in the bins LAPACK found singular.
+    """
+    rhs = np.zeros(mats.shape[:2] + (1,), dtype=np.complex128)
+    rhs[:, n] = 1.0
+    return _stacked(np.linalg.solve, rhs.shape, mats, rhs)[:, :, 0]
+
+
+def invert(mats):
+    """Inverse of every bin's matrix.
+
+    Raises
+    ------
+    SingularMatrixError
+        Naming the first bin whose matrix has no finite inverse.
+    """
+    inv = _stacked(np.linalg.inv, mats.shape, mats)
+    bad = ~np.all(np.isfinite(inv), axis=(1, 2))
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise SingularMatrixError(f"bin {i}: matrix has no finite inverse")
+    return inv
+
+
+def weighted_covariance(obs_t, y, sigma_sq, nu):
+    """Weighted sample covariances of one source in every bin.
+
+    Parameters
+    ----------
+    obs_t: ndarray (bins, channels, frames), complex
+        Observed vectors, one column per frame.
+    y: ndarray (bins, frames), complex
+        Current estimate of this source.
+    sigma_sq: ndarray (bins, frames)
+        Squared scale of this source.
     nu: float
         Degrees of freedom; ``inf`` gives (1/J) sum x x^H / sigma^2 exactly.
 
     Returns
     -------
-    ndarray (channels, channels), Hermitian positive semidefinite.
+    ndarray (bins, channels, channels), Hermitian positive semidefinite.
     """
-    num_frames = x_frames.shape[1]
+    num_frames = obs_t.shape[2]
     # sigma_sq > 0 is a caller contract.  The source model floors sigma^p
     # where it produces it; after ``normalize`` a floored slot holds
     # eta^-p times the floor, so sigma_sq may sit below FLOOR.
@@ -47,50 +101,55 @@ def weighted_covariance(x_frames, y, sigma_sq, nu):
     else:
         w = 1.0 / (sigma_sq + (2.0 / nu) * np.abs(y) ** 2)
         gain = (1.0 + 2.0 / nu) / num_frames
-    return gain * ((x_frames * w) @ x_frames.conj().T)
+    return gain * ((obs_t * w[:, None, :]) @ obs_t.conj().transpose(0, 2, 1))
 
 
-def ip_update(w_mat, cov, n):
-    """Iterative-projection update of one demixing row.
+def ip_update(w_stack, cov, n):
+    """Iterative-projection update of demixing row n in every bin.
 
-    Solves (W U) w = e_n, then rescales so that w^H U w = 1.  The returned
-    vector is the new filter w; the caller stores its conjugate as row n.
+    Solves (W_i U_i) w_i = e_n, then rescales so that w_i^H U_i w_i = 1.
+    The returned vectors are the new filters; the caller stores their
+    conjugates as row n.
 
-    Raises
-    ------
-    SingularMatrixError
-        If W U cannot be solved; the caller is expected to retry with a
-        ridge-loaded covariance.
+    Returns
+    -------
+    (w, singular): ndarray (bins, M) of filters, and a boolean (bins,) mask
+    of the bins where W U could not be solved (a LAPACK failure or a
+    non-finite solution) or the quadratic form collapsed below
+    ``PIVOT_FLOOR``.  Their rows in ``w`` are meaningless; the caller is
+    expected to retry them with ridge-loaded covariances.
     """
-    w = linalg.solve_column(w_mat @ cov, n)
-    quad = np.real(np.conj(w) @ cov @ w)
-    if quad < PIVOT_FLOOR:
-        raise SingularMatrixError("quadratic form collapsed in IP rescaling")
-    w = w / math.sqrt(quad)
-    if w.shape[0] == 1:
+    w = solve_unit(w_stack @ cov, n)
+    w[~np.all(np.isfinite(w), axis=1)] = 0.0  # a zero quadratic form flags these
+    quad = np.real(np.sum(np.conj(w) * (cov @ w[:, :, None])[:, :, 0], axis=1))
+    singular = ~(quad >= PIVOT_FLOOR)
+    w /= np.sqrt(np.where(singular, 1.0, quad))[:, None]
+    if w.shape[1] == 1:
         # scalar case has a free phase; pin it to the positive real axis
         w = np.abs(w).astype(np.complex128)
-    return w
+    return w, singular
 
 
 def ridge_covariance(cov):
-    """Covariance with a small diagonal load, for singular-system recovery."""
-    n = cov.shape[0]
-    eps = 1e-12 * np.real(np.trace(cov)) / n
-    return cov + eps * np.eye(n)
+    """Covariances with a small diagonal load, for singular-system recovery.
+
+    Takes one (M, M) matrix or a (bins, M, M) stack; each matrix is loaded
+    by 1e-12 times its mean diagonal.
+    """
+    n = cov.shape[-1]
+    eps = 1e-12 * np.real(np.trace(cov, axis1=-2, axis2=-1)) / n
+    return cov + eps[..., None, None] * np.eye(n)
 
 
-def head_residual(w_mat, cov_list):
-    """max |w_k^H U_n w_n - delta_kn|, a fixed-point diagnostic for one bin."""
-    rows = w_mat.conj()  # rows of W are w_n^H, so w_n = conj(row n)
-    worst = 0.0
-    for n, cov in enumerate(cov_list):
-        target = cov @ rows[n]
-        for k in range(w_mat.shape[0]):
-            val = np.conj(rows[k]) @ target
-            val -= 1.0 if k == n else 0.0
-            worst = max(worst, abs(val))
-    return worst
+def head_residual(w_stack, cov, n):
+    """max over bins and k of |w_k^H U_n w_n - delta_kn|, a fixed-point diagnostic.
+
+    ``cov`` holds source n's weighted covariances, (bins, M, M).
+    """
+    # rows of W are w_k^H, so W U_n w_n stacks w_k^H U_n w_n over k
+    vals = w_stack @ (cov @ np.conj(w_stack[:, n, :, None]))
+    vals[:, n] -= 1.0
+    return float(np.max(np.abs(vals)))
 
 
 def normalize(w_stack, y_values, sigma_p, factors):
@@ -130,7 +189,7 @@ def normalize(w_stack, y_values, sigma_p, factors):
 
 
 def back_project(w_stack, y_values, n):
-    """Multichannel image of source n, one bin at a time.
+    """Multichannel image of source n.
 
     y_hat_ij = W_i^-1 (e_n o y_ij) reduces to y_ij,n times column n of
     W_i^-1, since the masked vector has a single nonzero entry.
@@ -138,13 +197,11 @@ def back_project(w_stack, y_values, n):
     Returns
     -------
     ndarray (bins, frames, channels), complex.
+
+    Raises
+    ------
+    SingularMatrixError
+        Naming the first bin whose demixing matrix cannot be inverted.
     """
-    num_bins, num_frames, _ = y_values.shape
-    out = np.empty((num_bins, num_frames, w_stack.shape[1]), dtype=np.complex128)
-    for i in range(num_bins):
-        try:
-            mix_col = linalg.invert(w_stack[i])[:, n]
-        except SingularMatrixError as exc:
-            raise SingularMatrixError(f"bin {i}: {exc}") from exc
-        out[i] = y_values[i, :, n, None] * mix_col[None, :]
-    return out
+    mix_col = invert(w_stack)[:, :, n]
+    return y_values[:, :, n, None] * mix_col[:, None, :]

@@ -1,21 +1,21 @@
 """End-to-end separation: initialization, the iteration loop, cost tracking,
 the optional Gaussian-then-heavy-tailed schedule, and final back-projection.
 
-One iteration runs, in order: demixing-row updates for every (bin, source),
-estimate refresh, basis update, scale refresh, activation update, scale
-refresh, unit-power rescaling.  Each piece is a majorization-minimization
-step conditioned on a freshly touched surrogate, so the cost recorded after
-every iteration never increases within a stage.
+One iteration runs, in order: demixing-row updates for every source, each
+across all frequency bins at once, estimate refresh, basis update, scale
+refresh, activation update, scale refresh, unit-power rescaling.  Each piece
+is a majorization-minimization step conditioned on a freshly touched
+surrogate, so the cost recorded after every iteration never increases within
+a stage.
 """
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import demix, linalg
+from . import demix
 from .errors import SingularMatrixError, TilrmaError
 from .source_model import (
     NmfFactors,
@@ -52,8 +52,6 @@ class HyperParams:
     iterations: int = 200
     schedule: TwoStageSchedule | None = None
     seed: int = 0
-    parallel: bool = False
-    max_workers: int | None = None
 
     def __post_init__(self):
         if not self.nu > 0:
@@ -69,6 +67,22 @@ class HyperParams:
         if self.schedule is not None:
             if not 0 < self.schedule.gaussian_iters < self.iterations:
                 raise ValueError("gaussian_iters must lie strictly inside the run length")
+
+    def to_json(self):
+        """The hyperparameters as a JSON-ready dict, with ``inf`` spelled as a string."""
+        return {
+            "nu": "inf" if math.isinf(self.nu) else self.nu,
+            "p": self.p,
+            "num_bases": self.num_bases,
+            "iterations": self.iterations,
+            "seed": self.seed,
+            "schedule": None
+            if self.schedule is None
+            else {
+                "gaussian_iters": self.schedule.gaussian_iters,
+                "refit_iters": self.schedule.refit_iters,
+            },
+        }
 
 
 @dataclass
@@ -95,6 +109,23 @@ class SeparationResult:
     metadata: dict
 
 
+def log_abs_det(demixing):
+    """log|det W_i| of every bin, as a (bins,) array.
+
+    Raises
+    ------
+    SingularMatrixError
+        Naming the first bin whose determinant is zero or not finite,
+        instead of returning -inf.
+    """
+    sign, logdet = np.linalg.slogdet(demixing)
+    bad = (sign == 0) | ~np.isfinite(logdet)
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise SingularMatrixError(f"bin {i}: demixing matrix is singular")
+    return logdet
+
+
 def cost_value(demixing, estimates, sigma_p, nu, p):
     """Negative log-likelihood with additive constants dropped.
 
@@ -103,10 +134,7 @@ def cost_value(demixing, estimates, sigma_p, nu, p):
     minus the same determinant term.
     """
     num_frames = estimates.shape[1]
-    det_term = 0.0
-    for i in range(demixing.shape[0]):
-        det_term += linalg.log_abs_det(demixing[i])
-    total = -2.0 * num_frames * det_term
+    total = -2.0 * num_frames * float(np.sum(log_abs_det(demixing)))
     power = np.abs(estimates) ** 2  # (bins, frames, sources)
     for n in range(estimates.shape[2]):
         sp = sigma_p[n]
@@ -129,61 +157,51 @@ def cost(state, nu, p):
 
 
 def _refresh_estimates(state):
-    np.einsum("inm,ijm->ijn", state.demixing, state.obs, out=state.estimates)
+    # y_ij = W_i x_ij for every bin and frame
+    np.matmul(state.obs, state.demixing.transpose(0, 2, 1), out=state.estimates)
 
 
-def _ip_bin_range(state, nu, sig_sq, lo, hi, iteration):
-    """Demixing-row updates for bins [lo, hi); returns recovery events."""
-    events = []
-    num_sources = state.demixing.shape[1]
-    for i in range(lo, hi):
-        x_frames = state.obs_t[i]
-        for n in range(num_sources):
-            cov = demix.weighted_covariance(
-                x_frames, state.estimates[i, :, n], sig_sq[n, i], nu
-            )
-            try:
-                w = demix.ip_update(state.demixing[i], cov, n)
-            except SingularMatrixError:
-                cov = demix.ridge_covariance(cov)
-                events.append(
-                    {"kind": "ridge_recovery", "iteration": iteration, "bin": i, "source": n}
-                )
-                try:
-                    w = demix.ip_update(state.demixing[i], cov, n)
-                except SingularMatrixError as exc:
-                    raise SingularMatrixError(
-                        f"bin {i}, source {n}: unrecoverable after ridge ({exc})"
-                    ) from exc
-            state.demixing[i, n, :] = np.conj(w)
-    return events
-
-
-def _ip_sweep(state, nu, p, iteration, parallel, max_workers):
-    num_bins = state.obs.shape[0]
-    sig_sq = np.stack(
-        [sigma_squared(state.sigma_p[n], p) for n in range(len(state.factors))]
+def _covariance(state, n, nu, p):
+    """Weighted covariances of source n in every bin, (bins, M, M)."""
+    return demix.weighted_covariance(
+        state.obs_t, state.estimates[:, :, n], sigma_squared(state.sigma_p[n], p), nu
     )
-    if not parallel or num_bins < 2:
-        state.events.extend(_ip_bin_range(state, nu, sig_sq, 0, num_bins, iteration))
-        return
-    workers = max_workers or 4
-    bounds = np.linspace(0, num_bins, workers + 1, dtype=int)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_ip_bin_range, state, nu, sig_sq, lo, hi, iteration)
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        # merge in submission order so the event log is deterministic
-        for fut in futures:
-            state.events.extend(fut.result())
 
 
-def _iterate(state, nu, p, iterations, parallel=False, max_workers=None, start_iteration=0):
+def _ip_sweep(state, nu, p, iteration):
+    """Update rows n = 0..M-1 of W in turn, each across all bins at once.
+
+    Bins are independent, so every bin sees the same sequence of row
+    updates as a sweep over that bin alone.
+    """
+    for n in range(state.demixing.shape[1]):
+        cov = _covariance(state, n, nu, p)
+        w, singular = demix.ip_update(state.demixing, cov, n)
+        if singular.any():
+            w[singular] = _ridge_retry(state, cov, n, np.flatnonzero(singular), iteration)
+        state.demixing[:, n, :] = np.conj(w)
+
+
+def _ridge_retry(state, cov, n, bins, iteration):
+    """Row-n filters of the given bins from ridge-loaded covariances."""
+    state.events.extend(
+        {"kind": "ridge_recovery", "iteration": iteration, "bin": int(i), "source": n}
+        for i in bins
+    )
+    w, singular = demix.ip_update(state.demixing[bins], demix.ridge_covariance(cov[bins]), n)
+    if singular.any():
+        i = int(bins[np.argmax(singular)])
+        raise SingularMatrixError(
+            f"bin {i}, source {n}: unrecoverable after ridge "
+            "(singular system or collapsed quadratic form)"
+        )
+    return w
+
+
+def _iterate(state, nu, p, iterations, start_iteration=0):
     for k in range(iterations):
         try:
-            _ip_sweep(state, nu, p, start_iteration + k, parallel, max_workers)
+            _ip_sweep(state, nu, p, start_iteration + k)
             _refresh_estimates(state)
             for n, factors in enumerate(state.factors):
                 factors = update_bases(factors, state.estimates[:, :, n], state.sigma_p[n], nu)
@@ -227,46 +245,29 @@ def _init_state(spec, hp, p, initial_factors=None):
 
 
 def _final_head_residual(state, nu, p):
-    num_sources = len(state.factors)
-    sig_sq = np.stack([sigma_squared(state.sigma_p[n], p) for n in range(num_sources)])
     worst = 0.0
-    for i in range(state.obs.shape[0]):
-        covs = [
-            demix.weighted_covariance(
-                state.obs_t[i], state.estimates[i, :, n], sig_sq[n, i], nu
-            )
-            for n in range(num_sources)
-        ]
-        worst = max(worst, demix.head_residual(state.demixing[i], covs))
+    for n in range(state.demixing.shape[1]):
+        worst = max(worst, demix.head_residual(state.demixing, _covariance(state, n, nu, p), n))
     return worst
 
 
 def _finalize(state, spec, hp, started, stage_boundary=None):
-    num_sources = len(state.factors)
+    # before the images exist, so the covariances and the images are never
+    # held at the same time
+    head_residual = _final_head_residual(state, hp.nu, hp.p)
     images = [
         ComplexSpectrogram(
             demix.back_project(state.demixing, state.estimates, n),
             spec.config,
             spec.num_samples,
         )
-        for n in range(num_sources)
+        for n in range(len(state.factors))
     ]
     metadata = {
-        "nu": hp.nu,
-        "p": hp.p,
-        "num_bases": hp.num_bases,
-        "iterations": hp.iterations,
-        "seed": hp.seed,
-        "parallel": hp.parallel,
-        "schedule": None
-        if hp.schedule is None
-        else {
-            "gaussian_iters": hp.schedule.gaussian_iters,
-            "refit_iters": hp.schedule.refit_iters,
-        },
+        **hp.to_json(),
         "stage_boundary": stage_boundary,
         "events": list(state.events),
-        "head_residual": _final_head_residual(state, hp.nu, hp.p),
+        "head_residual": head_residual,
         "elapsed_seconds": time.perf_counter() - started,
     }
     return SeparationResult(
@@ -295,7 +296,7 @@ def run(spec, hp, initial_factors=None):
     """
     started = time.perf_counter()
     state = _init_state(spec, hp, hp.p, initial_factors)
-    _iterate(state, hp.nu, hp.p, hp.iterations, hp.parallel, hp.max_workers)
+    _iterate(state, hp.nu, hp.p, hp.iterations)
     return _finalize(state, spec, hp, started)
 
 
@@ -314,7 +315,7 @@ def run_two_stage(spec, hp):
     started = time.perf_counter()
     sched = hp.schedule
     state = _init_state(spec, hp, 2.0)
-    _iterate(state, math.inf, 2.0, sched.gaussian_iters, hp.parallel, hp.max_workers)
+    _iterate(state, math.inf, 2.0, sched.gaussian_iters)
     for n, factors in enumerate(state.factors):
         converted, _ = convert_domain(
             factors, state.sigma_p[n], hp.p, refit_iters=sched.refit_iters
@@ -328,8 +329,6 @@ def run_two_stage(spec, hp):
         hp.nu,
         hp.p,
         hp.iterations - sched.gaussian_iters,
-        hp.parallel,
-        hp.max_workers,
         start_iteration=sched.gaussian_iters,
     )
     return _finalize(state, spec, hp, started, stage_boundary=sched.gaussian_iters)

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
-from .engine import cost_value
+from .engine import cost_value, log_abs_det
 from .source_model import NmfFactors, recompute_scale
 from .stft import ComplexSpectrogram, StftConfig, sample_count_for_frames
 
@@ -240,9 +239,7 @@ def check_jensen_inequality(z, mu, p):
 
 
 def _det_term(demixing, num_frames):
-    return -2.0 * num_frames * sum(
-        linalg.log_abs_det(demixing[i]) for i in range(demixing.shape[0])
-    )
+    return -2.0 * num_frames * float(np.sum(log_abs_det(demixing)))
 
 
 def optimal_auxiliaries(estimates, factors, nu):

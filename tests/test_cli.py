@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -84,6 +85,35 @@ class TestSeparate:
         wavio.write_wav(mono, np.zeros(4000), 8000, "pcm16")
         code = cli.main(["separate", str(mono), "--iters", "1"] + SMALL_STFT)
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "defect,message",
+        [
+            ("duplicated", r"channel 2 duplicates channel\(s\) 1"),
+            ("zeroed", r"silent channel\(s\) 1"),
+            ("non-finite", r"input samples must be finite"),
+        ],
+    )
+    def test_unusable_input_is_rejected_before_separation(self, mixture_fixture, tmp_path, capsys,
+                                                    defect, message):
+        mix_path, _ = mixture_fixture
+        samples, rate = wavio.read_wav(mix_path)
+        if defect == "duplicated":
+            samples[:, 1] = samples[:, 0]
+        elif defect == "zeroed":
+            samples[:, 0] = 0.0
+        bad = tmp_path / "bad.wav"
+        wavio.write_wav(bad, samples, rate, "float32")
+        if defect == "non-finite":
+            # the writer refuses NaN, so patch the last sample in place
+            data = bytearray(bad.read_bytes())
+            data[-4:] = np.array([np.nan], dtype="<f4").tobytes()
+            bad.write_bytes(bytes(data))
+        out = tmp_path / "out_bad"
+        code = cli.main(["separate", str(bad), "--iters", "5", "--out", str(out)] + SMALL_STFT)
+        assert code == 1
+        assert re.search(r"^error: " + message, capsys.readouterr().err)
+        assert not (out / "result.json").exists()
 
     def test_missing_file_fails_cleanly(self, tmp_path):
         code = cli.main(["separate", str(tmp_path / "nope.wav")])

@@ -5,12 +5,29 @@ import pytest
 
 from tilrma import demix
 from tilrma.engine import cost_value
-from tilrma.errors import DegenerateSourceError
+from tilrma.errors import DegenerateSourceError, SingularMatrixError
 from tilrma.source_model import NmfFactors, recompute_scale, scale_floor
 
 
 def random_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def covariance_of_bin(x_frames, y, sigma_sq, nu):
+    # the stacked covariance of a one-bin stack
+    return demix.weighted_covariance(x_frames[None], y[None], sigma_sq[None], nu)[0]
+
+
+def ip_update_of_bin(w_mat, cov, n):
+    w, singular = demix.ip_update(w_mat[None], cov[None], n)
+    assert not singular[0]
+    return w[0]
+
+
+def head_residual_of_bin(w_mat, cov_list):
+    return max(
+        demix.head_residual(w_mat[None], cov[None], n) for n, cov in enumerate(cov_list)
+    )
 
 
 def covariance_oracle(x_frames, y, sigma_sq, nu):
@@ -35,13 +52,13 @@ class TestWeightedCovariance:
     def test_gaussian_unit_scale_is_sample_covariance(self):
         rng = np.random.default_rng(0)
         x = random_complex(rng, 2, 16)
-        out = demix.weighted_covariance(x, np.zeros(16, complex), np.ones(16), math.inf)
+        out = covariance_of_bin(x, np.zeros(16, complex), np.ones(16), math.inf)
         expected = (x @ x.conj().T) / 16
         assert np.allclose(out, expected, rtol=1e-13)
 
     def test_single_frame_arithmetic(self):
         x = np.array([[1.0], [0.0]], dtype=complex)
-        out = demix.weighted_covariance(x, np.zeros(1, complex), np.ones(1), 2.0)
+        out = covariance_of_bin(x, np.zeros(1, complex), np.ones(1), 2.0)
         assert np.allclose(out, [[2.0, 0.0], [0.0, 0.0]], atol=0)
 
     def test_random_matches_transcription(self):
@@ -50,7 +67,7 @@ class TestWeightedCovariance:
         y = random_complex(rng, 20)
         sigma_sq = 0.5 + rng.random(20)
         for nu in (1.0, 7.5, math.inf):
-            ours = demix.weighted_covariance(x, y, sigma_sq, nu)
+            ours = covariance_of_bin(x, y, sigma_sq, nu)
             oracle = covariance_oracle(x, y, sigma_sq, nu)
             assert np.max(np.abs(ours - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
@@ -60,16 +77,27 @@ class TestWeightedCovariance:
             x = random_complex(rng, 3, 12)
             y = random_complex(rng, 12)
             sigma_sq = 0.1 + rng.random(12)
-            u = demix.weighted_covariance(x, y, sigma_sq, 3.0)
+            u = covariance_of_bin(x, y, sigma_sq, 3.0)
             assert np.max(np.abs(u - u.conj().T)) <= 1e-12 * np.max(np.abs(u))
             eigs = np.linalg.eigvalsh(u)
             assert eigs.min() >= -1e-10 * np.real(np.trace(u))
+
+    def test_stack_matches_each_bin(self):
+        rng = np.random.default_rng(14)
+        x = random_complex(rng, 4, 3, 10)
+        y = random_complex(rng, 4, 10)
+        sigma_sq = 0.5 + rng.random((4, 10))
+        for nu in (2.0, math.inf):
+            ours = demix.weighted_covariance(x, y, sigma_sq, nu)
+            for i in range(4):
+                oracle = covariance_oracle(x[i], y[i], sigma_sq[i], nu)
+                assert np.max(np.abs(ours[i] - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
     def test_gaussian_limit_matches_conventional(self):
         rng = np.random.default_rng(3)
         x = random_complex(rng, 2, 24)
         r = 0.2 + rng.random(24)  # conventional variance r = sigma^2
-        ours = demix.weighted_covariance(x, random_complex(rng, 24), r, math.inf)
+        ours = covariance_of_bin(x, random_complex(rng, 24), r, math.inf)
         conventional = sum(
             np.outer(x[:, j], np.conj(x[:, j])) / r[j] for j in range(24)
         ) / 24
@@ -78,13 +106,13 @@ class TestWeightedCovariance:
 
 class TestIpUpdate:
     def test_identity_case(self):
-        w = demix.ip_update(np.eye(2, dtype=complex), np.eye(2, dtype=complex), 1)
+        w = ip_update_of_bin(np.eye(2, dtype=complex), np.eye(2, dtype=complex), 1)
         assert np.allclose(w, [0.0, 1.0], atol=1e-15)
 
     def test_scalar_case_real_positive(self):
         u = np.array([[4.0 + 0j]])
         w_mat = np.array([[0.3 - 0.7j]])
-        w = demix.ip_update(w_mat, u, 0)
+        w = ip_update_of_bin(w_mat, u, 0)
         assert w[0].imag == 0.0
         assert w[0].real == pytest.approx(0.5, rel=1e-12)
 
@@ -95,22 +123,38 @@ class TestIpUpdate:
             u = (x @ x.conj().T) / 10
             w_mat = random_complex(rng, 3, 3)
             for n in range(3):
-                w = demix.ip_update(w_mat, u, n)
+                w = ip_update_of_bin(w_mat, u, n)
                 quad = np.real(np.conj(w) @ u @ w)
                 assert quad == pytest.approx(1.0, abs=1e-10)
+
+
+    def test_singular_bins_are_flagged_not_raised(self):
+        rng = np.random.default_rng(15)
+        x = random_complex(rng, 4, 3, 10)
+        cov = demix.weighted_covariance(x, np.zeros((4, 10), complex), np.ones((4, 10)),
+                                        math.inf)
+        cov[1] = 0.0  # W U is exactly singular: LAPACK fails on this bin
+        cov[3] = 1e-310 * np.eye(3)  # solvable, but the quadratic form collapses
+        w_stack = random_complex(rng, 4, 3, 3)
+        w, singular = demix.ip_update(w_stack, cov, 2)
+        assert singular.tolist() == [False, True, False, True]
+        for i in (0, 2):
+            assert np.allclose(w[i], ip_update_of_bin(w_stack[i], cov[i], 2), rtol=1e-12)
+            quad = np.real(np.conj(w[i]) @ cov[i] @ w[i])
+            assert quad == pytest.approx(1.0, abs=1e-10)
 
 
 class TestHeadResidual:
     def test_identity_fixed_point(self):
         eye = np.eye(2, dtype=complex)
-        assert demix.head_residual(eye, [eye, eye]) == 0.0
+        assert head_residual_of_bin(eye, [eye, eye]) == 0.0
 
     def test_diagonal_after_update(self):
         rng = np.random.default_rng(5)
         x = random_complex(rng, 2, 12)
         u = (x @ x.conj().T) / 12
         w_mat = random_complex(rng, 2, 2)
-        w = demix.ip_update(w_mat, u, 0)
+        w = ip_update_of_bin(w_mat, u, 0)
         w_mat[0, :] = np.conj(w)
         covs = [u, u]
         rows = w_mat.conj()
@@ -122,7 +166,7 @@ class TestHeadResidual:
         w_mat = random_complex(rng, 2, 2)
         x = random_complex(rng, 2, 12)
         u = (x @ x.conj().T) / 12
-        assert demix.head_residual(w_mat, [u, u]) > 0.0
+        assert head_residual_of_bin(w_mat, [u, u]) > 0.0
 
 
 def build_state(rng, num_bins=5, num_frames=8, num_sources=2, p=2.0):
@@ -218,6 +262,15 @@ class TestBackProject:
         total = demix.back_project(w_stack, y, 0) + demix.back_project(w_stack, y, 1)
         assert np.max(np.abs(total - x)) <= 1e-10 * max(1.0, np.max(np.abs(x)))
 
+    def test_singular_bin_is_named(self):
+        rng = np.random.default_rng(16)
+        w_stack = random_complex(rng, 5, 2, 2)
+        w_stack[2] = [[1.0, 2.0], [2.0, 4.0]]
+        w_stack[4] = 0.0
+        y = random_complex(rng, 5, 3, 2)
+        with pytest.raises(SingularMatrixError, match=r"^bin 2: "):
+            demix.back_project(w_stack, y, 0)
+
     def test_random_matches_direct_formula(self):
         rng = np.random.default_rng(13)
         w_stack = random_complex(rng, 3, 2, 2)
@@ -239,3 +292,9 @@ class TestRidge:
         out = demix.ridge_covariance(u)
         assert out[1, 1] == pytest.approx(1e-12 * 1.0, rel=1e-12)
         assert out[0, 0] == pytest.approx(2.0 + 1e-12, rel=1e-12)
+
+    def test_stack_loads_each_bin_by_its_own_trace(self):
+        stack = np.array([np.diag([2.0, 0.0]), np.diag([0.0, 6.0])], dtype=complex)
+        out = demix.ridge_covariance(stack)
+        assert np.allclose(np.diagonal(out - stack, axis1=1, axis2=2),
+                           [[1e-12, 1e-12], [3e-12, 3e-12]], rtol=1e-3, atol=0)

@@ -5,13 +5,21 @@ import pytest
 
 from tilrma import engine, synthetic
 from tilrma.engine import HyperParams, TwoStageSchedule, cost_value
-from tilrma.errors import TilrmaError
+from tilrma.errors import SingularMatrixError, TilrmaError
 from tilrma.source_model import init_factors
 from tilrma.stft import ComplexSpectrogram
 
 
-def small_scene_spec(seed, num_bins=33, num_frames=48):
-    scene = synthetic.make_scene(seed, num_bins=num_bins, num_frames=num_frames)
+# Gaps allowed between the engine and the per-bin reference loop over 20
+# iterations (t model, M=3, seed 3): measured 1.3e-12 for max |dW| and
+# 4.2e-14 for the relative cost, so each bound leaves a margin above 100x.
+W_GAP_BOUND = 1e-9
+COST_GAP_BOUND = 1e-11
+
+
+def small_scene_spec(seed, num_bins=33, num_frames=48, num_sources=2):
+    scene = synthetic.make_scene(seed, num_bins=num_bins, num_frames=num_frames,
+                                 num_sources=num_sources)
     return scene, synthetic.scene_spectrogram(scene)
 
 
@@ -80,6 +88,68 @@ class TestCost:
         ours = cost_value(w, y, sigma_p, nu, p)
         assert ours == pytest.approx(cost_oracle(w, y, sigma_p, nu, p), rel=1e-10)
 
+    def test_singular_bin_is_named(self):
+        rng = np.random.default_rng(2)
+        w = rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2))
+        w[2] = [[1.0, 1j], [1j, -1.0]]  # rank 1
+        y = rng.standard_normal((4, 3, 2)) + 1j * rng.standard_normal((4, 3, 2))
+        sigma_p = 0.5 + rng.random((2, 4, 3))
+        with pytest.raises(SingularMatrixError, match=r"^bin 2: "):
+            cost_value(w, y, sigma_p, 4.0, 1.0)
+
+
+def reference_t_ilrma(values, num_bases, seed, nu, p, iterations):
+    """Independently coded loop over bins and rows: t-model IP and NMF updates.
+
+    Returns the demixing matrices and the cost after every iteration.
+    """
+    floor = 1e-12
+    num_bins, num_frames, num_sources = values.shape
+    w_stack = np.tile(np.eye(num_sources, dtype=complex), (num_bins, 1, 1))
+    streams = np.random.SeedSequence(seed).spawn(num_sources)
+    basis, activation = [], []
+    for n in range(num_sources):
+        f = init_factors(num_bins, num_frames, num_bases, streams[n], p=p)
+        basis.append(f.basis.copy())
+        activation.append(f.activation.copy())
+    scale = [np.maximum(basis[n] @ activation[n], floor ** (p / 2)) for n in range(num_sources)]
+    eye = np.eye(num_sources, dtype=complex)
+    estimates = np.einsum("inm,ijm->ijn", w_stack, values)
+    ws, costs = [], []
+    for _ in range(iterations):
+        for i in range(num_bins):
+            x = values[i].T
+            for n in range(num_sources):
+                sig_sq = scale[n][i] ** (2 / p)
+                weight = 1.0 / (sig_sq + (2 / nu) * np.abs(estimates[i, :, n]) ** 2)
+                cov = (1 + 2 / nu) * (x * weight) @ x.conj().T / num_frames
+                w = np.linalg.solve(w_stack[i] @ cov, eye[:, n])
+                w = w / np.sqrt(np.real(np.conj(w) @ cov @ w))
+                w_stack[i, n, :] = np.conj(w)
+        estimates = np.einsum("inm,ijm->ijn", w_stack, values)
+        for n in range(num_sources):
+            power = np.abs(estimates[:, :, n]) ** 2
+            for update in ("basis", "activation"):
+                sig_sq = scale[n] ** (2 / p)
+                inv_weight = 1 / (nu / (nu + 2) * sig_sq + 2 / (nu + 2) * power)
+                num = power * inv_weight / scale[n]
+                if update == "basis":
+                    ratio = (num @ activation[n].T) / ((1 / scale[n]) @ activation[n].T)
+                    basis[n] = np.maximum(basis[n] * ratio ** (p / (p + 2)), floor)
+                else:
+                    ratio = (basis[n].T @ num) / (basis[n].T @ (1 / scale[n]))
+                    activation[n] = np.maximum(activation[n] * ratio ** (p / (p + 2)), floor)
+                scale[n] = np.maximum(basis[n] @ activation[n], floor ** (p / 2))
+        for n in range(num_sources):
+            eta = np.sqrt(np.mean(np.abs(estimates[:, :, n]) ** 2))
+            w_stack[:, n, :] /= eta
+            estimates[:, :, n] /= eta
+            scale[n] = scale[n] * eta ** -p
+            basis[n] = basis[n] * eta ** -p
+        ws.append(w_stack.copy())
+        costs.append(cost_oracle(w_stack, estimates, np.stack(scale), nu, p))
+    return ws, costs
+
 
 class TestRun:
     def test_zero_iterations_masks_observation(self):
@@ -101,16 +171,6 @@ class TestRun:
         assert np.array_equal(a.cost_trace, b.cost_trace)
         assert np.array_equal(a.demixing, b.demixing)
 
-    def test_parallel_matches_sequential_bitwise(self):
-        _, spec = small_scene_spec(2)
-        seq = engine.run(spec, HyperParams(nu=math.inf, p=2.0, num_bases=2,
-                                           iterations=6, seed=0))
-        par = engine.run(spec, HyperParams(nu=math.inf, p=2.0, num_bases=2,
-                                           iterations=6, seed=0, parallel=True,
-                                           max_workers=3))
-        assert np.array_equal(seq.cost_trace, par.cost_trace)
-        assert np.array_equal(seq.demixing, par.demixing)
-
     def test_monotone_cost_and_improvement(self):
         scene, spec = small_scene_spec(3)
         hp = HyperParams(nu=math.inf, p=2.0, num_bases=2, iterations=60, seed=0)
@@ -125,6 +185,31 @@ class TestRun:
         res = engine.run(spec, hp)
         total = np.sum([img.values for img in res.images], axis=0)
         assert np.max(np.abs(total - spec.values)) <= 1e-10
+
+    def test_matches_per_bin_reference_loop(self):
+        # t model, three sources: the stacked sweep against a loop that
+        # solves each bin's system on its own
+        nu, p, iterations = 5.0, 1.0, 20
+        _, spec = small_scene_spec(3, num_sources=3)
+        state = engine._init_state(spec, HyperParams(nu=nu, p=p, num_bases=2, seed=3), p)
+        ours = []
+        for _ in range(iterations):
+            engine._iterate(state, nu, p, 1)
+            ours.append(state.demixing.copy())
+        ref_w, ref_cost = reference_t_ilrma(spec.values, 2, 3, nu, p, iterations)
+        w_gap = max(np.max(np.abs(a - b)) for a, b in zip(ours, ref_w))
+        cost_gap = np.max(np.abs(np.array(state.cost_trace) - ref_cost) / np.abs(ref_cost))
+        assert w_gap <= W_GAP_BOUND, w_gap
+        assert cost_gap <= COST_GAP_BOUND, cost_gap
+
+    @pytest.mark.parametrize("nu,p", [(math.inf, 2.0), (10.0, 1.0)])
+    def test_band_limited_input_names_the_first_silent_bin(self, nu, p):
+        scene = synthetic.make_scene(0)
+        scene.observation[100:] = 0.0
+        spec = synthetic.scene_spectrogram(scene)
+        hp = HyperParams(nu=nu, p=p, num_bases=2, iterations=3, seed=0)
+        with pytest.raises(SingularMatrixError, match=r"iteration 0: bin 100, source 0"):
+            engine.run(spec, hp)
 
     def test_errors_carry_iteration_context(self):
         _, spec = small_scene_spec(1, num_bins=9, num_frames=12)
