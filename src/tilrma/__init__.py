@@ -1,6 +1,6 @@
 """Determined blind source separation with a heavy-tailed low-rank source model."""
 
-from .engine import HyperParams, SeparationResult, TwoStageSchedule, run, run_two_stage, separate
+from .engine import HyperParams, SeparationResult, TwoStageSchedule, separate
 from .metrics import EvalReport, align_permutation, sdr_projection, si_sdr
 from .source_model import NmfFactors, init_factors
 from .stft import ComplexSpectrogram, StftConfig, analyze, synthesize
@@ -18,8 +18,6 @@ __all__ = [
     "analyze",
     "init_factors",
     "read_wav",
-    "run",
-    "run_two_stage",
     "sdr_projection",
     "separate",
     "si_sdr",

@@ -13,7 +13,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,22 +28,6 @@ RESULT_SCHEMA_VERSION = 1
 RANK_TOLERANCE = 1e-12
 
 PRESET_BASES = {"music": 5, "speech": 2}
-
-
-@dataclass
-class RunConfig:
-    """Validated bundle of everything one CLI invocation needs."""
-
-    mode: str  # separate | synthetic | oracle
-    inputs: list
-    out_dir: Path
-    stft: StftConfig | None
-    hyper: HyperParams | None
-    taps: int = 1
-    reference_channel: int = 0
-    reference_paths: list | None = None
-    seeds: int = 10
-    check: str = "all"
 
 
 def _parse_nu(text):
@@ -168,30 +151,37 @@ def cmd_separate(args):
     if not 0 <= ref_channel < num_channels:
         raise TilrmaError(f"reference channel {args.ref_channel} out of range")
     _check_channel_rank(samples)
+    # evaluation inputs are checked before separating, so a bad one leaves no output
+    if args.taps < 1:
+        raise TilrmaError("--taps must be at least 1")
+    refs = []
+    if args.refs:
+        if len(args.refs) != num_channels:
+            raise TilrmaError("need exactly one reference per source")
+        for path in args.refs:
+            ref, ref_rate = wavio.read_wav(path)
+            if ref_rate != rate:
+                raise TilrmaError(
+                    f"reference {path} is at {ref_rate:g} Hz, the input at {rate:g} Hz"
+                )
+            refs.append(ref[:, min(ref_channel, ref.shape[1] - 1)])
 
     num_bases = args.bases if args.bases is not None else PRESET_BASES[args.preset]
-    cfg = RunConfig(
-        mode="separate",
-        inputs=[args.input],
-        out_dir=Path(args.out),
-        stft=StftConfig(rate, args.window_ms, args.shift_ms),
-        hyper=_build_hyper(args, num_bases),
-        taps=args.taps,
-        reference_channel=ref_channel,
-        reference_paths=args.refs,
-    )
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    stft = StftConfig(rate, args.window_ms, args.shift_ms)
+    hyper = _build_hyper(args, num_bases)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     started = time.perf_counter()
-    spec = analyze(samples, cfg.stft)
-    result = engine.separate(spec, cfg.hyper)
+    spec = analyze(samples, stft)
+    result = engine.separate(spec, hyper)
 
     source_paths = []
     source_signals = []
     for n, image in enumerate(result.images):
         signal = synthesize(image)
         source_signals.append(signal)
-        path = cfg.out_dir / f"source_{n + 1}.wav"
+        path = out_dir / f"source_{n + 1}.wav"
         wavio.write_wav(path, signal, rate, "float32")
         source_paths.append(str(path))
 
@@ -201,12 +191,12 @@ def cmd_separate(args):
         "sample_rate_hz": rate,
         "num_channels": num_channels,
         "stft": {
-            "window_ms": cfg.stft.window_length_ms,
-            "shift_ms": cfg.stft.shift_ms,
-            "window_samples": cfg.stft.window_samples,
-            "shift_samples": cfg.stft.shift_samples,
+            "window_ms": stft.window_length_ms,
+            "shift_ms": stft.shift_ms,
+            "window_samples": stft.window_samples,
+            "shift_samples": stft.shift_samples,
         },
-        "hyperparams": cfg.hyper.to_json(),
+        "hyperparams": hyper.to_json(),
         "sources": source_paths,
         "cost_trace": [float(c) for c in result.cost_trace],
         "stage_boundary": result.metadata["stage_boundary"],
@@ -218,22 +208,16 @@ def cmd_separate(args):
         },
     }
 
-    if cfg.reference_paths:
-        if len(cfg.reference_paths) != num_channels:
-            raise TilrmaError("need exactly one reference per source")
-        refs = []
-        for path in cfg.reference_paths:
-            ref, _ = wavio.read_wav(path)
-            refs.append(ref[:, min(cfg.reference_channel, ref.shape[1] - 1)])
+    if refs:
         length = min(min(len(r) for r in refs), samples.shape[0])
-        estimates = [sig[:length, cfg.reference_channel] for sig in source_signals]
+        estimates = [sig[:length, ref_channel] for sig in source_signals]
         refs = [r[:length] for r in refs]
         eval_report = metrics.align_permutation(
-            refs, estimates, taps=cfg.taps,
-            mixture=samples[:length, cfg.reference_channel],
+            refs, estimates, taps=args.taps,
+            mixture=samples[:length, ref_channel],
         )
         report["evaluation"] = {
-            "taps": cfg.taps,
+            "taps": args.taps,
             "reference_channel": args.ref_channel,
             "permutation": list(eval_report.permutation),
             "per_source_sdr_db": eval_report.per_source_sdr,
@@ -241,37 +225,29 @@ def cmd_separate(args):
             "mean_improvement_db": eval_report.mean_improvement_db,
         }
 
-    result_path = cfg.out_dir / "result.json"
+    result_path = out_dir / "result.json"
     result_path.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {len(source_paths)} sources and {result_path}")
     return 0
 
 
 def cmd_synthetic(args):
-    cfg = RunConfig(
-        mode="synthetic",
-        inputs=[],
-        out_dir=Path("."),
-        stft=None,
-        hyper=HyperParams(nu=args.nu, p=args.p, num_bases=args.bases,
-                          iterations=args.iters, seed=args.seed),
-        seeds=args.seeds,
-        check=args.check,
-    )
+    hyper = HyperParams(nu=args.nu, p=args.p, num_bases=args.bases,
+                        iterations=args.iters, seed=args.seed)
     failures = 0
-    for k in range(cfg.seeds):
+    for k in range(args.seeds):
         scene = synthetic.make_scene(args.seed + k)
         spec = synthetic.scene_spectrogram(scene)
-        result = engine.run(spec, cfg.hyper)
+        result = engine.separate(spec, hyper)
         ok = True
         notes = []
-        if cfg.check in ("monotonic", "all"):
+        if args.check in ("monotonic", "all"):
             trace = result.cost_trace
             slack = 1e-10 * np.abs(trace[:-1]) + 1e-10
             if not np.all(trace[1:] <= trace[:-1] + slack):
                 ok = False
                 notes.append("cost increased")
-        if cfg.check in ("completeness", "all"):
+        if args.check in ("completeness", "all"):
             total = np.sum([img.values for img in result.images], axis=0)
             gap = np.max(np.abs(total - spec.values))
             if gap > 1e-10:
@@ -281,7 +257,7 @@ def cmd_synthetic(args):
         label = "PASS" if ok else "FAIL"
         extra = f" ({'; '.join(notes)})" if notes else ""
         print(f"seed {args.seed + k}: {label}{extra}")
-    print(f"{cfg.seeds - failures}/{cfg.seeds} seeds passed")
+    print(f"{args.seeds - failures}/{args.seeds} seeds passed")
     return 0 if failures == 0 else 1
 
 

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateSourceError, SingularMatrixError
+from .source_model import _t_weight
 
 # Sources whose average power drops below this are considered collapsed.
 DEGENERATE_POWER = 1e-150
@@ -91,16 +92,11 @@ def weighted_covariance(obs_t, y, sigma_sq, nu):
     -------
     ndarray (bins, channels, channels), Hermitian positive semidefinite.
     """
-    num_frames = obs_t.shape[2]
     # sigma_sq > 0 is a caller contract.  The source model floors sigma^p
     # where it produces it; after ``normalize`` a floored slot holds
     # eta^-p times the floor, so sigma_sq may sit below FLOOR.
-    if math.isinf(nu):
-        w = 1.0 / sigma_sq
-        gain = 1.0 / num_frames
-    else:
-        w = 1.0 / (sigma_sq + (2.0 / nu) * np.abs(y) ** 2)
-        gain = (1.0 + 2.0 / nu) / num_frames
+    w = _t_weight(sigma_sq, np.abs(y) ** 2, nu)
+    gain = (1.0 + 2.0 / nu) / obs_t.shape[2]
     return gain * ((obs_t * w[:, None, :]) @ obs_t.conj().transpose(0, 2, 1))
 
 

@@ -1,6 +1,10 @@
 """End-to-end separation: initialization, the iteration loop, cost tracking,
 the optional Gaussian-then-heavy-tailed schedule, and final back-projection.
 
+``separate`` is the one entry point.  The Gaussian model is the t model at
+nu=inf, so both stages of a schedule run the same updates; only the cost
+keeps a Gaussian form, because its t form is inf * 0 there.
+
 One iteration runs, in order: demixing-row updates for every source, each
 across all frequency bins at once, estimate refresh, basis update, scale
 refresh, activation update, scale refresh, unit-power rescaling.  Each piece
@@ -219,8 +223,7 @@ def _iterate(state, nu, p, iterations, start_iteration=0):
 
 def _init_state(spec, hp, p, initial_factors=None):
     values = np.ascontiguousarray(spec.values, dtype=np.complex128)
-    num_bins, num_frames, num_channels = values.shape
-    num_sources = num_channels
+    num_bins, num_frames, num_sources = values.shape
     demixing = np.tile(np.eye(num_sources, dtype=np.complex128), (num_bins, 1, 1))
     if initial_factors is None:
         streams = np.random.SeedSequence(hp.seed).spawn(num_sources)
@@ -229,6 +232,7 @@ def _init_state(spec, hp, p, initial_factors=None):
             for n in range(num_sources)
         ]
     else:
+        _check_initial_factors(initial_factors, values.shape, hp.num_bases, p)
         factors = [
             NmfFactors(f.basis.copy(), f.activation.copy(), f.p) for f in initial_factors
         ]
@@ -244,6 +248,27 @@ def _init_state(spec, hp, p, initial_factors=None):
     return state
 
 
+def _check_initial_factors(initial_factors, shape, num_bases, p):
+    """Raise ValueError naming the source whose factors do not fit the run."""
+    num_bins, num_frames, num_sources = shape
+    if len(initial_factors) != num_sources:
+        raise ValueError(
+            f"need one initial NmfFactors per channel ({num_sources}), "
+            f"got {len(initial_factors)}"
+        )
+    shapes = ((num_bins, num_bases), (num_bases, num_frames))
+    for n, f in enumerate(initial_factors):
+        if (f.basis.shape, f.activation.shape) != shapes:
+            raise ValueError(
+                f"initial factors of source {n}: basis {f.basis.shape} and activation "
+                f"{f.activation.shape}, expected {shapes[0]} and {shapes[1]}"
+            )
+        if f.p != p:
+            raise ValueError(
+                f"initial factors of source {n}: p={f.p}, but the first stage runs p={p}"
+            )
+
+
 def _final_head_residual(state, nu, p):
     worst = 0.0
     for n in range(state.demixing.shape[1]):
@@ -251,7 +276,7 @@ def _final_head_residual(state, nu, p):
     return worst
 
 
-def _finalize(state, spec, hp, started, stage_boundary=None):
+def _finalize(state, spec, hp, started, stage_boundary):
     # before the images exist, so the covariances and the images are never
     # held at the same time
     head_residual = _final_head_residual(state, hp.nu, hp.p)
@@ -278,8 +303,17 @@ def _finalize(state, spec, hp, started, stage_boundary=None):
     )
 
 
-def run(spec, hp, initial_factors=None):
-    """Single-stage separation of a determined multichannel spectrogram.
+def separate(spec, hp, initial_factors=None):
+    """Separate a determined multichannel spectrogram.
+
+    Without ``hp.schedule`` the run is one stage of ``hp.iterations``
+    iterations under (hp.nu, hp.p).  With it, stage one runs
+    ``hp.schedule.gaussian_iters`` iterations of the Gaussian model
+    (nu=inf, p=2); the factors are then converted to hp.p and refit, and
+    stage two continues with (hp.nu, hp.p) for the remaining iterations.
+    The cost trace covers both stages; the objective changes at the
+    boundary, which the metadata reports, so each stage is monotone only
+    on its own.
 
     Parameters
     ----------
@@ -287,55 +321,33 @@ def run(spec, hp, initial_factors=None):
         Observation with as many streams as sources to extract.
     hp: HyperParams
     initial_factors: list of NmfFactors, optional
-        Override the seeded random factor initialization (the demixing
-        matrices always start at identity).
+        One per source, in place of the seeded random initialization of
+        the first stage: basis (bins, hp.num_bases), activation
+        (hp.num_bases, frames) and that stage's p.  The demixing matrices
+        always start at identity.
 
     Returns
     -------
     SeparationResult
+
+    Raises
+    ------
+    ValueError
+        If ``initial_factors`` does not fit the observation or the first stage.
     """
-    started = time.perf_counter()
-    state = _init_state(spec, hp, hp.p, initial_factors)
-    _iterate(state, hp.nu, hp.p, hp.iterations)
-    return _finalize(state, spec, hp, started)
-
-
-def run_two_stage(spec, hp):
-    """Gaussian warm-up, domain/dof switch, then the configured model.
-
-    Stage one runs ``hp.schedule.gaussian_iters`` iterations with
-    (nu=inf, p=2); the factors are then converted to the target domain and
-    refit, and stage two continues with (hp.nu, hp.p) for the remaining
-    iterations.  The cost trace is the concatenation of both stages; the
-    boundary index is reported in the metadata because the objective
-    changes there and the two segments are only monotone separately.
-    """
-    if hp.schedule is None:
-        raise ValueError("run_two_stage requires hp.schedule")
     started = time.perf_counter()
     sched = hp.schedule
-    state = _init_state(spec, hp, 2.0)
-    _iterate(state, math.inf, 2.0, sched.gaussian_iters)
-    for n, factors in enumerate(state.factors):
-        converted, _ = convert_domain(
-            factors, state.sigma_p[n], hp.p, refit_iters=sched.refit_iters
-        )
-        if converted is not factors:
-            state.factors[n] = converted
-            state.sigma_p[n] = recompute_scale(converted)
-    state.events.append({"kind": "stage_boundary", "iteration": sched.gaussian_iters})
-    _iterate(
-        state,
-        hp.nu,
-        hp.p,
-        hp.iterations - sched.gaussian_iters,
-        start_iteration=sched.gaussian_iters,
-    )
-    return _finalize(state, spec, hp, started, stage_boundary=sched.gaussian_iters)
-
-
-def separate(spec, hp):
-    """Dispatch to ``run`` or ``run_two_stage`` based on the schedule."""
-    if hp.schedule is not None:
-        return run_two_stage(spec, hp)
-    return run(spec, hp)
+    boundary = 0 if sched is None else sched.gaussian_iters
+    state = _init_state(spec, hp, hp.p if sched is None else 2.0, initial_factors)
+    if sched is not None:
+        _iterate(state, math.inf, 2.0, boundary)
+        for n, factors in enumerate(state.factors):
+            converted, _ = convert_domain(
+                factors, state.sigma_p[n], hp.p, refit_iters=sched.refit_iters
+            )
+            if converted is not factors:
+                state.factors[n] = converted
+                state.sigma_p[n] = recompute_scale(converted)
+        state.events.append({"kind": "stage_boundary", "iteration": boundary})
+    _iterate(state, hp.nu, hp.p, hp.iterations - boundary, start_iteration=boundary)
+    return _finalize(state, spec, hp, started, stage_boundary=boundary or None)

@@ -5,10 +5,9 @@ Each source n carries a nonnegative factorization of its scale tensor,
 (bases x frames).  The domain exponent p in [1, 2] selects what the
 factorization models (p=2: power spectrogram, p=1: amplitude).  Updates
 are majorization-minimization steps under a heavy-tailed source
-likelihood with ``nu`` degrees of freedom; ``nu = inf`` dispatches to the
-exact Gaussian (Itakura-Saito) formulas rather than a large finite value,
-which both matches that configuration's definition and avoids cancellation
-in the 2/nu terms.
+likelihood with ``nu`` degrees of freedom.  The Gaussian (Itakura-Saito)
+model is the case ``nu = inf``, not a large finite value: nu=inf makes 2/nu
+exactly 0, so the t-model formulas reduce to the Gaussian ones bit for bit.
 """
 
 import math
@@ -76,12 +75,19 @@ def sigma_squared(sigma_p, p):
     return sigma_p ** (2.0 / p)
 
 
+def _t_weight(sig_sq, power, nu):
+    """1 / (sigma^2 + (2/nu) |y|^2), the MM weight of the t model; 1/sigma^2 at nu=inf."""
+    # in place: the Gaussian updates run this too, so each pass is one fewer allocation
+    weight = (2.0 / nu) * power
+    weight += sig_sq
+    return np.reciprocal(weight, out=weight)
+
+
 def _inv_weight(sigma_p, power, p, nu):
-    # 1 / (nu/(nu+2) sigma^2 + 2/(nu+2) |y|^2); Gaussian limit 1/sigma^2
-    sig_sq = sigma_squared(sigma_p, p)
-    if math.isinf(nu):
-        return 1.0 / sig_sq
-    return 1.0 / (nu / (nu + 2.0) * sig_sq + 2.0 / (nu + 2.0) * power)
+    # 1 / (nu/(nu+2) sigma^2 + 2/(nu+2) |y|^2)
+    weight = _t_weight(sigma_squared(sigma_p, p), power, nu)
+    weight *= 1.0 + 2.0 / nu
+    return weight
 
 
 def update_bases(factors, y_slice, sigma_p, nu):
@@ -157,14 +163,3 @@ def convert_domain(factors, sigma_p, new_p, refit_iters=10):
         out = update_activations(out, pseudo, scale, math.inf)
         scale = recompute_scale(out)
     return out, target
-
-
-def refit_objective(sigma_p_model, target, p):
-    """Discrepancy the domain-conversion refit minimizes, for diagnostics.
-
-    Per slot: (2/p) log(sigma^p) + target^(2/p) / sigma^2, minimized exactly
-    at sigma^p = target.
-    """
-    sig_sq = sigma_squared(sigma_p_model, p)
-    data_sq = target ** (2.0 / p)
-    return float(np.sum((2.0 / p) * np.log(sigma_p_model) + data_sq / sig_sq))

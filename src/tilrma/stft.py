@@ -28,7 +28,6 @@ class StftConfig:
     sample_rate_hz: float
     window_length_ms: float = 512.0
     shift_ms: float = 128.0
-    window_kind: str = "hamming"
 
     def __post_init__(self):
         if self.sample_rate_hz <= 0:
@@ -38,8 +37,6 @@ class StftConfig:
         ratio = self.window_length_ms / self.shift_ms
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 2:
             raise ValueError("window_length_ms must be an integer multiple (>= 2) of shift_ms")
-        if self.window_kind != "hamming":
-            raise ValueError(f"unsupported window kind: {self.window_kind!r}")
 
     @property
     def overlap_ratio(self):

@@ -163,7 +163,7 @@ def test_criterion_4_ip_postcondition_and_head_diagnostic(monkeypatch):
     monkeypatch.setattr(demix, "ip_update", checked)
     scene = synthetic.make_fixed_point_scene(0)
     spec = synthetic.scene_spectrogram(scene)
-    engine.run(spec, HyperParams(nu=5.0, p=1.0, num_bases=1, iterations=5, seed=0))
+    engine.separate(spec, HyperParams(nu=5.0, p=1.0, num_bases=1, iterations=5, seed=0))
     monkeypatch.setattr(demix, "ip_update", original)
     post_ok = max(quad_errors) <= 1e-10
 
@@ -172,8 +172,8 @@ def test_criterion_4_ip_postcondition_and_head_diagnostic(monkeypatch):
     for seed in SEEDS:
         scene = synthetic.make_fixed_point_scene(seed)
         spec = synthetic.scene_spectrogram(scene)
-        res = engine.run(spec, HyperParams(nu=math.inf, p=2.0, num_bases=1,
-                                           iterations=200, seed=seed))
+        res = engine.separate(spec, HyperParams(nu=math.inf, p=2.0, num_bases=1,
+                                                iterations=200, seed=seed))
         residuals.append(res.metadata["head_residual"])
         below += residuals[-1] < 1e-6
     report(

@@ -115,6 +115,36 @@ class TestSeparate:
         assert re.search(r"^error: " + message, capsys.readouterr().err)
         assert not (out / "result.json").exists()
 
+    @pytest.mark.parametrize(
+        "defect,message",
+        [
+            ("one-ref", r"need exactly one reference per source"),
+            ("missing-ref", r"nope\.wav"),
+            ("zero-taps", r"--taps must be at least 1"),
+            ("ref-rate", r"ref1\.wav is at 16000 Hz, the input at 8000 Hz"),
+        ],
+        ids=["one-ref", "missing-ref", "zero-taps", "ref-rate"],
+    )
+    def test_bad_evaluation_arguments_are_rejected_before_separation(
+            self, mixture_fixture, tmp_path, capsys, defect, message):
+        mix_path, ref_paths = mixture_fixture
+        taps = "1"
+        if defect == "one-ref":
+            ref_paths = ref_paths[:1]
+        elif defect == "missing-ref":
+            ref_paths = [ref_paths[0], str(tmp_path / "nope.wav")]
+        elif defect == "ref-rate":
+            samples, _ = wavio.read_wav(ref_paths[1])
+            wavio.write_wav(ref_paths[1], samples, 16000, "float64")
+        else:
+            taps = "0"
+        out = tmp_path / "out_eval"
+        code = cli.main(["separate", str(mix_path), "--iters", "2", "--refs", *ref_paths,
+                         "--taps", taps, "--out", str(out)] + SMALL_STFT)
+        assert code == 1
+        assert re.search(r"^error: .*" + message, capsys.readouterr().err)
+        assert list(out.glob("*")) == []
+
     def test_missing_file_fails_cleanly(self, tmp_path):
         code = cli.main(["separate", str(tmp_path / "nope.wav")])
         assert code == 1

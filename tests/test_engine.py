@@ -155,7 +155,7 @@ class TestRun:
     def test_zero_iterations_masks_observation(self):
         _, spec = small_scene_spec(0)
         hp = HyperParams(nu=math.inf, p=2.0, num_bases=2, iterations=0, seed=0)
-        res = engine.run(spec, hp)
+        res = engine.separate(spec, hp)
         assert res.cost_trace.size == 0
         # W stays identity, so image n is the observation masked to channel n
         for n in range(2):
@@ -166,15 +166,15 @@ class TestRun:
     def test_bitwise_determinism(self):
         _, spec = small_scene_spec(1)
         hp = HyperParams(nu=4.0, p=1.0, num_bases=2, iterations=8, seed=7)
-        a = engine.run(spec, hp)
-        b = engine.run(spec, hp)
+        a = engine.separate(spec, hp)
+        b = engine.separate(spec, hp)
         assert np.array_equal(a.cost_trace, b.cost_trace)
         assert np.array_equal(a.demixing, b.demixing)
 
     def test_monotone_cost_and_improvement(self):
         scene, spec = small_scene_spec(3)
         hp = HyperParams(nu=math.inf, p=2.0, num_bases=2, iterations=60, seed=0)
-        res = engine.run(spec, hp)
+        res = engine.separate(spec, hp)
         trace = res.cost_trace
         assert np.all(trace[1:] <= trace[:-1] + 1e-10 * np.abs(trace[:-1]) + 1e-10)
         assert trace[-1] < trace[0]
@@ -182,7 +182,7 @@ class TestRun:
     def test_completeness_of_images(self):
         _, spec = small_scene_spec(4)
         hp = HyperParams(nu=6.0, p=1.0, num_bases=2, iterations=10, seed=0)
-        res = engine.run(spec, hp)
+        res = engine.separate(spec, hp)
         total = np.sum([img.values for img in res.images], axis=0)
         assert np.max(np.abs(total - spec.values)) <= 1e-10
 
@@ -209,24 +209,49 @@ class TestRun:
         spec = synthetic.scene_spectrogram(scene)
         hp = HyperParams(nu=nu, p=p, num_bases=2, iterations=3, seed=0)
         with pytest.raises(SingularMatrixError, match=r"iteration 0: bin 100, source 0"):
-            engine.run(spec, hp)
+            engine.separate(spec, hp)
 
     def test_errors_carry_iteration_context(self):
         _, spec = small_scene_spec(1, num_bins=9, num_frames=12)
         zero = ComplexSpectrogram(np.zeros_like(spec.values), spec.config, spec.num_samples)
         hp = HyperParams(nu=math.inf, p=2.0, num_bases=2, iterations=1, seed=0)
         with pytest.raises(TilrmaError, match=r"iteration 0: bin 0"):
-            engine.run(zero, hp)
+            engine.separate(zero, hp)
 
     def test_metadata_carries_reproduction_info(self):
         _, spec = small_scene_spec(5)
         hp = HyperParams(nu=2.0, p=1.0, num_bases=2, iterations=3, seed=11)
-        res = engine.run(spec, hp)
+        res = engine.separate(spec, hp)
         md = res.metadata
         assert md["nu"] == 2.0 and md["p"] == 1.0 and md["seed"] == 11
         assert md["iterations"] == 3 and md["num_bases"] == 2
         assert md["head_residual"] >= 0.0
         assert md["elapsed_seconds"] > 0.0
+
+    @pytest.mark.parametrize(
+        "shapes,schedule,message",
+        [
+            pytest.param([(33, 48, 2, 1.0)], None,
+                         r"one initial NmfFactors per channel \(2\), got 1", id="count"),
+            pytest.param([(33, 48, 2, 1.0), (32, 48, 2, 1.0)], None,
+                         r"source 1: basis \(32, 2\)", id="basis-bins"),
+            pytest.param([(33, 47, 2, 1.0), (33, 48, 2, 1.0)], None,
+                         r"source 0: .* activation \(2, 47\)", id="activation-frames"),
+            pytest.param([(33, 48, 3, 1.0), (33, 48, 3, 1.0)], None,
+                         r"source 0: basis \(33, 3\)", id="basis-count"),
+            pytest.param([(33, 48, 2, 1.0), (33, 48, 2, 2.0)], None,
+                         r"source 1: p=2.0, but the first stage runs p=1.0", id="p"),
+            pytest.param([(33, 48, 2, 1.0), (33, 48, 2, 1.0)], TwoStageSchedule(5, 2),
+                         r"source 0: p=1.0, but the first stage runs p=2.0",
+                         id="p-under-schedule"),
+        ],
+    )
+    def test_initial_factors_must_fit_the_run(self, shapes, schedule, message):
+        _, spec = small_scene_spec(6)
+        hp = HyperParams(nu=5.0, p=1.0, num_bases=2, iterations=10, seed=0, schedule=schedule)
+        initial = [init_factors(b, j, k, seed=n, p=p) for n, (b, j, k, p) in enumerate(shapes)]
+        with pytest.raises(ValueError, match=message):
+            engine.separate(spec, hp, initial_factors=initial)
 
     def test_relabeled_factors_recover_same_source_set(self):
         # the sweep order anchors which output slot a source lands in, so
@@ -236,8 +261,8 @@ class TestRun:
         f0 = init_factors(129, 128, 2, seed=11, p=2.0)
         f1 = init_factors(129, 128, 2, seed=22, p=2.0)
         hp = HyperParams(nu=math.inf, p=2.0, num_bases=2, iterations=60, seed=0)
-        run_a = engine.run(spec, hp, initial_factors=[f0, f1])
-        run_b = engine.run(spec, hp, initial_factors=[f1, f0])
+        run_a = engine.separate(spec, hp, initial_factors=[f0, f1])
+        run_b = engine.separate(spec, hp, initial_factors=[f1, f0])
 
         def assignment(result):
             out = []
@@ -259,26 +284,20 @@ class TestRun:
 
 
 class TestTwoStage:
-    def test_requires_schedule(self):
-        _, spec = small_scene_spec(6)
-        hp = HyperParams(nu=5.0, p=1.0, num_bases=2, iterations=10)
-        with pytest.raises(ValueError):
-            engine.run_two_stage(spec, hp)
-
     def test_identity_switch_equals_single_stage(self):
         _, spec = small_scene_spec(7)
         hp2 = HyperParams(nu=math.inf, p=2.0, num_bases=2, iterations=30, seed=3,
                           schedule=TwoStageSchedule(gaussian_iters=15))
         hp1 = HyperParams(nu=math.inf, p=2.0, num_bases=2, iterations=30, seed=3)
-        two = engine.run_two_stage(spec, hp2)
-        one = engine.run(spec, hp1)
+        two = engine.separate(spec, hp2)
+        one = engine.separate(spec, hp1)
         assert np.array_equal(two.cost_trace, one.cost_trace)
 
     def test_stagewise_monotonicity_and_boundary(self):
         _, spec = small_scene_spec(8)
         hp = HyperParams(nu=3.0, p=1.0, num_bases=2, iterations=40, seed=0,
                          schedule=TwoStageSchedule(gaussian_iters=20, refit_iters=5))
-        res = engine.run_two_stage(spec, hp)
+        res = engine.separate(spec, hp)
         b = res.metadata["stage_boundary"]
         assert b == 20
         assert res.cost_trace.size == 40
@@ -286,6 +305,19 @@ class TestTwoStage:
             assert np.all(seg[1:] <= seg[:-1] + 1e-10 * np.abs(seg[:-1]) + 1e-10)
         kinds = [e["kind"] for e in res.metadata["events"]]
         assert "stage_boundary" in kinds
+
+    def test_initial_factors_seed_the_gaussian_stage(self):
+        # the factors the seeded initialization draws, passed in explicitly,
+        # give the same run: they start stage one, at p=2
+        _, spec = small_scene_spec(9)
+        hp = HyperParams(nu=3.0, p=1.0, num_bases=2, iterations=10, seed=4,
+                         schedule=TwoStageSchedule(gaussian_iters=5, refit_iters=2))
+        streams = np.random.SeedSequence(4).spawn(2)
+        initial = [init_factors(33, 48, 2, streams[n], p=2.0) for n in range(2)]
+        given = engine.separate(spec, hp, initial_factors=initial)
+        drawn = engine.separate(spec, hp)
+        assert np.array_equal(given.cost_trace, drawn.cost_trace)
+        assert np.array_equal(given.demixing, drawn.demixing)
 
     def test_separate_dispatches_on_schedule(self):
         _, spec = small_scene_spec(9)
