@@ -13,6 +13,30 @@ def orthogonal_noise(rng, reference):
     return noise
 
 
+def _loop_sdr_projection(reference, estimate, taps):
+    """Projection SDR by explicit lag loops and shifted copies: the reference
+    the FFT scorer is checked against."""
+    reference = np.asarray(reference, dtype=np.float64)
+    estimate = np.asarray(estimate, dtype=np.float64)
+    length = reference.shape[0]
+    lags = np.array([reference[d:] @ reference[: length - d] for d in range(taps)])
+    gram = np.empty((taps, taps))
+    for a in range(taps):
+        for b in range(taps):
+            gram[a, b] = lags[abs(a - b)]
+    rhs = np.array([estimate[d:] @ reference[: length - d] for d in range(taps)])
+    if np.linalg.cond(gram) > metrics.MAX_CONDITION:
+        raise IllConditionedProjectionError(
+            f"projection normal equations ill-conditioned (taps={taps})"
+        )
+    coef = np.linalg.solve(gram, rhs)
+    padded = np.zeros(length + taps - 1)
+    for d in range(taps):
+        padded[d : d + length] += coef[d] * reference
+    err = np.concatenate([estimate, np.zeros(taps - 1)]) - padded
+    return metrics._capped_db(float(padded @ padded), float(err @ err))
+
+
 class TestSiSdr:
     def test_perfect_match_hits_cap(self):
         rng = np.random.default_rng(0)
@@ -70,23 +94,45 @@ class TestSdrProjection:
             assert metrics.sdr_projection(ref, est, taps=8) == metrics.CAP_DB
 
     def test_matches_dense_least_squares_oracle(self):
-        rng = np.random.default_rng(7)
-        ref = rng.standard_normal(600)
-        est = rng.standard_normal(600)
-        taps = 6
-        ours = metrics.sdr_projection(ref, est, taps)
+        # the second input has more taps than samples: every delayed copy
+        # still fits in the zero-padded signal, so the score is well defined
+        for length, taps in ((600, 6), (100, 300)):
+            rng = np.random.default_rng(7)
+            ref = rng.standard_normal(length)
+            est = rng.standard_normal(length)
+            ours = metrics.sdr_projection(ref, est, taps)
 
-        # oracle: explicit delayed-reference matrix, lstsq projection
-        length = len(ref)
-        shifted = np.zeros((length + taps - 1, taps))
-        for d in range(taps):
-            shifted[d : d + length, d] = ref
-        padded_est = np.concatenate([est, np.zeros(taps - 1)])
-        coef, *_ = np.linalg.lstsq(shifted, padded_est, rcond=None)
-        target = shifted @ coef
-        err = padded_est - target
-        expected = 10 * np.log10((target @ target) / (err @ err))
-        assert ours == pytest.approx(expected, abs=1e-9)
+            # oracle: explicit delayed-reference matrix, lstsq projection
+            shifted = np.zeros((length + taps - 1, taps))
+            for d in range(taps):
+                shifted[d : d + length, d] = ref
+            padded_est = np.concatenate([est, np.zeros(taps - 1)])
+            coef, *_ = np.linalg.lstsq(shifted, padded_est, rcond=None)
+            target = shifted @ coef
+            err = padded_est - target
+            expected = 10 * np.log10((target @ target) / (err @ err))
+            assert ours == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("taps", [1, 7, 512])
+    @pytest.mark.parametrize("length", [1001, 4099])
+    def test_matches_loop_oracle(self, length, taps):
+        rng = np.random.default_rng(length + taps)
+        ref = rng.standard_normal(length)
+        ref[-8:] = 0.0
+        delayed_copy = np.concatenate([np.zeros(5), -0.7 * ref[:-5]])
+        estimates = {
+            "noise": rng.standard_normal(length),
+            "noisy copy": np.convolve(ref, [1.0, 0.5, -0.25])[:length]
+            + 0.3 * rng.standard_normal(length),
+            "delayed copy": delayed_copy,
+        }
+        for name, est in estimates.items():
+            expected = _loop_sdr_projection(ref, est, taps)
+            assert metrics.sdr_projection(ref, est, taps) == pytest.approx(
+                expected, abs=1e-9
+            ), name
+        # the delay (5) is within the filter from 7 taps on: the CAP_DB path
+        assert (expected == metrics.CAP_DB) == (taps >= 7)
 
     def test_monotone_in_taps(self):
         rng = np.random.default_rng(8)
@@ -102,6 +148,12 @@ class TestSdrProjection:
         ref = np.sin(2 * np.pi * k / 4096)
         with pytest.raises(IllConditionedProjectionError):
             metrics.sdr_projection(ref, ref, taps=512)
+
+    def test_taps_must_be_positive(self):
+        with pytest.raises(ValueError, match="taps"):
+            metrics.sdr_projection(np.ones(10), np.ones(10), taps=0)
+        with pytest.raises(ValueError, match="taps"):
+            metrics.align_permutation([np.ones(10)], [np.ones(10)], taps=0)
 
 
 class TestAlignPermutation:
@@ -154,3 +206,73 @@ class TestAlignPermutation:
     def test_source_count_cap(self):
         with pytest.raises(ValueError):
             metrics.align_permutation([np.ones(4)] * 9, [np.ones(4)] * 9)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (("estimates", 1, np.ones((1000, 2))),
+             r"estimate 1 has shape \(1000, 2\), expected \(1000,\)"),
+            (("mixture", None, np.ones(999)), "mixture has 999 samples, expected 1000"),
+            (("references", 2, np.ones(1001)), "reference 2 has 1001 samples, expected 1000"),
+            (("estimates", 0, np.full(1000, np.nan)), "estimate 0 has non-finite samples"),
+        ],
+        ids=["stereo-estimate", "short-mixture", "long-reference", "nan-estimate"],
+    )
+    def test_signal_shapes_checked_before_scoring(self, monkeypatch, change, message):
+        rng = np.random.default_rng(14)
+        signals = {
+            "references": [rng.standard_normal(1000) for _ in range(3)],
+            "estimates": [rng.standard_normal(1000) for _ in range(3)],
+            "mixture": rng.standard_normal(1000),
+        }
+        kind, index, bad = change
+        if index is None:
+            signals[kind] = bad
+        else:
+            signals[kind][index] = bad
+
+        def no_scoring(*args):
+            raise AssertionError("a pair was scored before the inputs were checked")
+
+        monkeypatch.setattr(metrics, "_projection_scores", no_scoring)
+        with pytest.raises(ValueError, match=message):
+            metrics.align_permutation(
+                signals["references"], signals["estimates"], taps=16,
+                mixture=signals["mixture"],
+            )
+
+    def test_ill_conditioned_reference_is_named(self):
+        # the slow sinusoid of test_near_singular_normal_equations_rejected,
+        # as the second of two references
+        k = np.arange(2048)
+        slow = np.sin(2 * np.pi * k / 4096)
+        noise = np.random.default_rng(15).standard_normal(2048)
+        with pytest.raises(
+            IllConditionedProjectionError,
+            match=r"^reference 1: projection normal equations ill-conditioned \(taps=512\)$",
+        ):
+            metrics.align_permutation([noise, slow], [slow, noise], taps=512)
+
+    def test_zero_reference_is_named(self):
+        noise = np.random.default_rng(16).standard_normal(64)
+        with pytest.raises(ZeroReferenceError, match="^reference 0: "):
+            metrics.align_permutation([np.zeros(64), noise], [noise, noise], taps=4)
+
+    @pytest.mark.parametrize("with_mixture", [False, True], ids=["no-mixture", "mixture"])
+    def test_batched_scores_match_single_pair(self, with_mixture):
+        rng = np.random.default_rng(17)
+        refs = [rng.standard_normal(700) for _ in range(3)]
+        ests = [refs[(r + 1) % 3] + 0.5 * rng.standard_normal(700) for r in range(3)]
+        mixture = sum(refs) if with_mixture else None
+        taps = 16
+        report = metrics.align_permutation(refs, ests, taps=taps, mixture=mixture)
+        assert report.permutation == (2, 0, 1)
+        for r, e in enumerate(report.permutation):
+            single = metrics.sdr_projection(refs[r], ests[e], taps)
+            assert report.per_source_sdr[r] == pytest.approx(single, abs=1e-12)
+        if with_mixture:
+            for r in range(3):
+                single = metrics.sdr_projection(refs[r], mixture, taps)
+                assert report.baseline_sdr[r] == pytest.approx(single, abs=1e-12)
+        else:
+            assert report.baseline_sdr is None
