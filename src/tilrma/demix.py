@@ -3,9 +3,10 @@ row updates, per-iteration rescaling, and back-projection to source images.
 
 Frequency bins are mutually independent, so every operation here takes the
 whole stack of bins at once, one source or one demixing row at a time: the
-matrices of all bins go through one stacked numpy call.  A bin whose matrix
-LAPACK cannot factor, or whose result is not finite, is flagged or named in
-a ``SingularMatrixError``; numpy's ``LinAlgError`` never escapes.
+matrices of all bins go through one stacked numpy call.  Only ``back_project``
+takes the complex estimates y; the rest takes their real power |y|^2.  A bin
+whose matrix LAPACK cannot factor, or whose result is not finite, is flagged
+or named in a ``SingularMatrixError``; numpy's ``LinAlgError`` never escapes.
 """
 
 import math
@@ -74,15 +75,15 @@ def invert(mats):
     return inv
 
 
-def weighted_covariance(obs_t, y, sigma_sq, nu):
+def weighted_covariance(obs_t, power, sigma_sq, nu):
     """Weighted sample covariances of one source in every bin.
 
     Parameters
     ----------
     obs_t: ndarray (bins, channels, frames), complex
         Observed vectors, one column per frame.
-    y: ndarray (bins, frames), complex
-        Current estimate of this source.
+    power: ndarray (bins, frames)
+        |y|^2 of this source's current estimate.
     sigma_sq: ndarray (bins, frames)
         Squared scale of this source.
     nu: float
@@ -95,7 +96,7 @@ def weighted_covariance(obs_t, y, sigma_sq, nu):
     # sigma_sq > 0 is a caller contract.  The source model floors sigma^p
     # where it produces it; after ``normalize`` a floored slot holds
     # eta^-p times the floor, so sigma_sq may sit below FLOOR.
-    w = _t_weight(sigma_sq, np.abs(y) ** 2, nu)
+    w = _t_weight(sigma_sq, power, nu)
     gain = (1.0 + 2.0 / nu) / obs_t.shape[2]
     return gain * ((obs_t * w[:, None, :]) @ obs_t.conj().transpose(0, 2, 1))
 
@@ -148,13 +149,13 @@ def head_residual(w_stack, cov, n):
     return float(np.max(np.abs(vals)))
 
 
-def normalize(w_stack, y_values, sigma_p, factors):
+def normalize(w_stack, power, sigma_p, factors):
     """Rescale every source to unit average power, in place.
 
-    Applies w <- w/eta, y <- y/eta, sigma^p <- sigma^p eta^-p, T <- T eta^-p
-    with eta the per-source RMS of y.  The cost function is invariant under
-    this rescaling; it only fixes the scale ambiguity between W and the
-    source models.
+    Applies w <- w/eta, power <- power eta^-2, sigma^p <- sigma^p eta^-p,
+    T <- T eta^-p with eta the per-source RMS of y; ``power`` is |y|^2,
+    (sources, bins, frames).  The cost function is invariant under this
+    rescaling; it only fixes the scale ambiguity between W and the source models.
 
     The scaling is exact, with no floor re-applied: a slot of sigma^p or T
     that sat at its floor holds eta^-p times that floor afterwards, until the
@@ -170,15 +171,14 @@ def normalize(w_stack, y_values, sigma_p, factors):
     DegenerateSourceError
         If a source's average power has collapsed to zero.
     """
-    num_sources = y_values.shape[2]
-    eta = np.empty(num_sources)
-    for n in range(num_sources):
-        eta[n] = math.sqrt(np.mean(np.abs(y_values[:, :, n]) ** 2))
+    eta = np.empty(power.shape[0])
+    for n in range(power.shape[0]):
+        eta[n] = math.sqrt(np.mean(power[n]))
         if eta[n] < DEGENERATE_POWER:
             raise DegenerateSourceError(f"source {n} has (near-)zero power")
         p = factors[n].p
         w_stack[:, n, :] /= eta[n]
-        y_values[:, :, n] /= eta[n]
+        power[n] *= eta[n] ** -2.0
         sigma_p[n] *= eta[n] ** (-p)
         factors[n].basis *= eta[n] ** (-p)
     return eta

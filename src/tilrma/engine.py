@@ -6,11 +6,12 @@ nu=inf, so both stages of a schedule run the same updates; only the cost
 keeps a Gaussian form, because its t form is inf * 0 there.
 
 One iteration runs, in order: demixing-row updates for every source, each
-across all frequency bins at once, estimate refresh, basis update, scale
+across all frequency bins at once, power refresh, basis update, scale
 refresh, activation update, scale refresh, unit-power rescaling.  Each piece
 is a majorization-minimization step conditioned on a freshly touched
 surrogate, so the cost recorded after every iteration never increases within
-a stage.
+a stage.  All of it sees y = W x only through the real power |y|^2 that the
+run state carries; y exists only in the power refresh and the back-projection.
 """
 
 import math
@@ -31,6 +32,9 @@ from .source_model import (
     update_bases,
 )
 from .stft import ComplexSpectrogram
+
+# Relative eigenvalue below which the channel Gram counts as rank-deficient.
+RANK_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -96,7 +100,7 @@ class RunState:
     obs: np.ndarray        # (bins, frames, channels)
     obs_t: np.ndarray      # (bins, channels, frames), contiguous column view
     demixing: np.ndarray   # (bins, sources, sources); row n of W_i is w_n^H
-    estimates: np.ndarray  # (bins, frames, sources)
+    power: np.ndarray      # (sources, bins, frames), |y|^2 with y_ij = W_i x_ij
     factors: list          # per-source NmfFactors
     sigma_p: np.ndarray    # (sources, bins, frames)
     cost_trace: list = field(default_factory=list)
@@ -130,25 +134,22 @@ def log_abs_det(demixing):
     return logdet
 
 
-def cost_value(demixing, estimates, sigma_p, nu, p):
+def cost_value(demixing, power, sigma_p, nu, p):
     """Negative log-likelihood with additive constants dropped.
 
+    ``power`` holds |y|^2 of every source, (sources, bins, frames), like ``sigma_p``.
     Gaussian (nu=inf, p=2): sum(log r + |y|^2 / r) - 2J sum_i log|det W_i|.
     Otherwise: sum((1 + nu/2) log(1 + (2/nu) |y|^2 / sigma^2) + (2/p) log sigma^p)
     minus the same determinant term.
     """
-    num_frames = estimates.shape[1]
-    total = -2.0 * num_frames * float(np.sum(log_abs_det(demixing)))
-    power = np.abs(estimates) ** 2  # (bins, frames, sources)
-    for n in range(estimates.shape[2]):
-        sp = sigma_p[n]
+    total = -2.0 * power.shape[2] * float(np.sum(log_abs_det(demixing)))
+    for pw, sp in zip(power, sigma_p):
         if math.isinf(nu):
-            total += float(np.sum(np.log(sp) + power[:, :, n] / sp))
+            total += float(np.sum(np.log(sp) + pw / sp))
         else:
-            sig_sq = sigma_squared(sp, p)
             total += float(
                 np.sum(
-                    (1.0 + nu / 2.0) * np.log1p((2.0 / nu) * power[:, :, n] / sig_sq)
+                    (1.0 + nu / 2.0) * np.log1p((2.0 / nu) * pw / sigma_squared(sp, p))
                     + (2.0 / p) * np.log(sp)
                 )
             )
@@ -157,18 +158,22 @@ def cost_value(demixing, estimates, sigma_p, nu, p):
 
 def cost(state, nu, p):
     """Cost of a run state (see ``cost_value``)."""
-    return cost_value(state.demixing, state.estimates, state.sigma_p, nu, p)
+    return cost_value(state.demixing, state.power, state.sigma_p, nu, p)
 
 
-def _refresh_estimates(state):
-    # y_ij = W_i x_ij for every bin and frame
-    np.matmul(state.obs, state.demixing.transpose(0, 2, 1), out=state.estimates)
+def _demixed(state):
+    """y_ij = W_i x_ij for every bin and frame, (bins, frames, sources)."""
+    return state.obs @ state.demixing.transpose(0, 2, 1)
+
+
+def _refresh_power(state):
+    state.power[...] = np.moveaxis(np.abs(_demixed(state)) ** 2, 2, 0)
 
 
 def _covariance(state, n, nu, p):
     """Weighted covariances of source n in every bin, (bins, M, M)."""
     return demix.weighted_covariance(
-        state.obs_t, state.estimates[:, :, n], sigma_squared(state.sigma_p[n], p), nu
+        state.obs_t, state.power[n], sigma_squared(state.sigma_p[n], p), nu
     )
 
 
@@ -202,20 +207,23 @@ def _ridge_retry(state, cov, n, bins, iteration):
     return w
 
 
+def _update_sources(state, nu):
+    """Basis then activation update of every source, each followed by a scale refresh."""
+    for n, factors in enumerate(state.factors):
+        factors = update_bases(factors, state.power[n], state.sigma_p[n], nu)
+        state.sigma_p[n] = recompute_scale(factors)
+        factors = update_activations(factors, state.power[n], state.sigma_p[n], nu)
+        state.sigma_p[n] = recompute_scale(factors)
+        state.factors[n] = factors
+
+
 def _iterate(state, nu, p, iterations, start_iteration=0):
     for k in range(iterations):
         try:
             _ip_sweep(state, nu, p, start_iteration + k)
-            _refresh_estimates(state)
-            for n, factors in enumerate(state.factors):
-                factors = update_bases(factors, state.estimates[:, :, n], state.sigma_p[n], nu)
-                state.sigma_p[n] = recompute_scale(factors)
-                factors = update_activations(
-                    factors, state.estimates[:, :, n], state.sigma_p[n], nu
-                )
-                state.sigma_p[n] = recompute_scale(factors)
-                state.factors[n] = factors
-            demix.normalize(state.demixing, state.estimates, state.sigma_p, state.factors)
+            _refresh_power(state)
+            _update_sources(state, nu)
+            demix.normalize(state.demixing, state.power, state.sigma_p, state.factors)
             state.cost_trace.append(cost(state, nu, p))
         except TilrmaError as exc:
             raise type(exc)(f"iteration {start_iteration + k}: {exc}") from exc
@@ -240,12 +248,44 @@ def _init_state(spec, hp, p, initial_factors=None):
         obs=values,
         obs_t=np.ascontiguousarray(values.transpose(0, 2, 1)),
         demixing=demixing,
-        estimates=np.empty_like(values),
+        power=np.empty((num_sources, num_bins, num_frames)),
         factors=factors,
         sigma_p=np.stack([recompute_scale(f) for f in factors]),
     )
-    _refresh_estimates(state)
+    _refresh_power(state)
     return state
+
+
+def _check_channel_rank(values):
+    """Reject channels that are silent or copies of one another.
+
+    The M x M channel Gram is taken of the peak-normalized spectrogram, so no
+    input level overflows or underflows it.  When its smallest eigenvalue is
+    at most RANK_TOLERANCE times the largest, W is singular in every bin; the
+    message names the silent channels, or else those in the null direction.
+    """
+    flat = values.reshape(-1, values.shape[2]) / (np.max(np.abs(values)) or 1.0)
+    gram = flat.T @ flat.conj()
+    eigvals, eigvecs = np.linalg.eigh(gram)
+    if eigvals[0] > RANK_TOLERANCE * eigvals[-1]:
+        return
+    energy = np.real(np.diag(gram))
+    silent = np.flatnonzero(energy <= RANK_TOLERANCE * np.max(energy)) + 1
+    if silent.size:
+        raise TilrmaError(
+            f"silent channel(s) {', '.join(str(k) for k in silent)}: separation needs "
+            "as many independent channels as sources; drop or replace the dead channel"
+        )
+    null = np.abs(eigvecs[:, 0])
+    involved = np.flatnonzero(null >= 0.1 * np.max(null)) + 1
+    copy, others = involved[-1], involved[:-1]
+    if not others.size:
+        others = np.setdiff1d(np.arange(1, null.size + 1), copy)
+    raise TilrmaError(
+        f"channel {copy} duplicates channel(s) {', '.join(str(k) for k in others)} "
+        "(it is a linear combination of them): separation needs as many "
+        "independent channels as sources; drop or replace the duplicated channel"
+    )
 
 
 def _check_initial_factors(initial_factors, shape, num_bases, p):
@@ -269,20 +309,17 @@ def _check_initial_factors(initial_factors, shape, num_bases, p):
             )
 
 
-def _final_head_residual(state, nu, p):
-    worst = 0.0
-    for n in range(state.demixing.shape[1]):
-        worst = max(worst, demix.head_residual(state.demixing, _covariance(state, n, nu, p), n))
-    return worst
-
-
 def _finalize(state, spec, hp, started, stage_boundary):
-    # before the images exist, so the covariances and the images are never
-    # held at the same time
-    head_residual = _final_head_residual(state, hp.nu, hp.p)
+    # the covariances, the power and obs_t are all released before the images exist
+    head_residual = max(
+        demix.head_residual(state.demixing, _covariance(state, n, hp.nu, hp.p), n)
+        for n in range(len(state.factors))
+    )
+    state.power = state.obs_t = None
+    y = _demixed(state)
     images = [
         ComplexSpectrogram(
-            demix.back_project(state.demixing, state.estimates, n),
+            demix.back_project(state.demixing, y, n),
             spec.config,
             spec.num_samples,
         )
@@ -332,10 +369,13 @@ def separate(spec, hp, initial_factors=None):
 
     Raises
     ------
+    TilrmaError
+        If a channel is silent or a linear combination of the others.
     ValueError
         If ``initial_factors`` does not fit the observation or the first stage.
     """
     started = time.perf_counter()
+    _check_channel_rank(spec.values)
     sched = hp.schedule
     boundary = 0 if sched is None else sched.gaussian_iters
     state = _init_state(spec, hp, hp.p if sched is None else 2.0, initial_factors)

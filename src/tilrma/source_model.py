@@ -5,9 +5,10 @@ Each source n carries a nonnegative factorization of its scale tensor,
 (bases x frames).  The domain exponent p in [1, 2] selects what the
 factorization models (p=2: power spectrogram, p=1: amplitude).  Updates
 are majorization-minimization steps under a heavy-tailed source
-likelihood with ``nu`` degrees of freedom.  The Gaussian (Itakura-Saito)
-model is the case ``nu = inf``, not a large finite value: nu=inf makes 2/nu
-exactly 0, so the t-model formulas reduce to the Gaussian ones bit for bit.
+likelihood with ``nu`` degrees of freedom, and take a source's estimate y
+only as its real power |y|^2.  The Gaussian (Itakura-Saito) model is the
+case ``nu = inf``, not a large finite value: nu=inf makes 2/nu exactly 0, so
+the t-model formulas reduce to the Gaussian ones bit for bit.
 """
 
 import math
@@ -90,14 +91,14 @@ def _inv_weight(sigma_p, power, p, nu):
     return weight
 
 
-def update_bases(factors, y_slice, sigma_p, nu):
+def update_bases(factors, power, sigma_p, nu):
     """One multiplicative basis update for a single source.
 
     Parameters
     ----------
     factors: NmfFactors
-    y_slice: ndarray (bins, frames), complex
-        Current estimate of this source's spectrogram.
+    power: ndarray (bins, frames)
+        |y|^2 of this source's current estimate.
     sigma_p: ndarray (bins, frames)
         Current scale tensor of this source: the ``recompute_scale`` output
         for ``factors``, possibly rescaled since by ``demix.normalize``,
@@ -110,17 +111,15 @@ def update_bases(factors, y_slice, sigma_p, nu):
     NmfFactors with the updated basis (activation shared, not copied).
     """
     p = factors.p
-    power = np.abs(y_slice) ** 2
     ratio_num = (power * _inv_weight(sigma_p, power, p, nu) / sigma_p) @ factors.activation.T
     ratio_den = (1.0 / sigma_p) @ factors.activation.T
     basis = factors.basis * (ratio_num / ratio_den) ** (p / (p + 2.0))
     return NmfFactors(np.maximum(basis, FLOOR), factors.activation, p)
 
 
-def update_activations(factors, y_slice, sigma_p, nu):
+def update_activations(factors, power, sigma_p, nu):
     """Mirror of ``update_bases`` with the bin and frame roles swapped."""
     p = factors.p
-    power = np.abs(y_slice) ** 2
     ratio_num = factors.basis.T @ (power * _inv_weight(sigma_p, power, p, nu) / sigma_p)
     ratio_den = factors.basis.T @ (1.0 / sigma_p)
     activation = factors.activation * (ratio_num / ratio_den) ** (p / (p + 2.0))
@@ -134,8 +133,8 @@ def convert_domain(factors, sigma_p, new_p, refit_iters=10):
     The factors cannot convert exactly for L > 1, so they are seeded with the
     elementwise power of the old factors and refit to the converted tensor by
     ``refit_iters`` multiplicative rounds of ``update_bases``/``update_activations``
-    in the Gaussian limit, using the converted tensor's amplitude as pseudo-data
-    (so the refit objective is minimized exactly where the model meets the target).
+    in the Gaussian limit, with ``target^(2/new_p)`` as the power they fit (so
+    the refit objective is minimized exactly where the model meets the target).
 
     Returns
     -------
@@ -153,13 +152,13 @@ def convert_domain(factors, sigma_p, new_p, refit_iters=10):
         np.maximum(factors.activation**exponent, FLOOR),
         new_p,
     )
-    # pseudo-data with |y|^2 = target^(2/new_p) makes the fixed point sit at
-    # T @ V = target; nu=inf keeps the refit free of the dof parameter
-    pseudo = np.sqrt(target ** (2.0 / new_p)).astype(np.complex128)
+    # power = target^(2/new_p) makes the fixed point sit at T @ V = target;
+    # nu=inf keeps the refit free of the dof parameter
+    power = target ** (2.0 / new_p)
     scale = recompute_scale(out)
     for _ in range(refit_iters):
-        out = update_bases(out, pseudo, scale, math.inf)
+        out = update_bases(out, power, scale, math.inf)
         scale = recompute_scale(out)
-        out = update_activations(out, pseudo, scale, math.inf)
+        out = update_activations(out, power, scale, math.inf)
         scale = recompute_scale(out)
     return out, target

@@ -242,13 +242,14 @@ def _det_term(demixing, num_frames):
     return -2.0 * num_frames * float(np.sum(log_abs_det(demixing)))
 
 
-def optimal_auxiliaries(estimates, factors, nu):
+def optimal_auxiliaries(power, factors, nu):
     """Auxiliary settings at which both surrogate bounds touch the cost.
 
-    Returns (alpha, beta, gamma) with shapes (bins, frames, sources) for the
-    first two and (bins, frames, sources, rank) for gamma.
+    ``power`` holds |y|^2 of every source, (sources, bins, frames).  Returns
+    (alpha, beta, gamma) with shapes (bins, frames, sources) for the first
+    two and (bins, frames, sources, rank) for gamma.
     """
-    num_bins, num_frames, num_sources = estimates.shape
+    num_sources, num_bins, num_frames = power.shape
     rank = factors[0].num_bases
     alpha = np.empty((num_bins, num_frames, num_sources))
     beta = np.empty_like(alpha)
@@ -256,7 +257,7 @@ def optimal_auxiliaries(estimates, factors, nu):
     for n, fac in enumerate(factors):
         model = fac.basis @ fac.activation
         sig_sq = model ** (2.0 / fac.p)
-        alpha[:, :, n] = 1.0 + (2.0 / nu) * np.abs(estimates[:, :, n]) ** 2 / sig_sq
+        alpha[:, :, n] = 1.0 + (2.0 / nu) * power[n] / sig_sq
         beta[:, :, n] = model
         gamma[:, :, n, :] = (
             fac.basis[:, None, :] * fac.activation.T[None, :, :] / model[:, :, None]
@@ -264,18 +265,18 @@ def optimal_auxiliaries(estimates, factors, nu):
     return alpha, beta, gamma
 
 
-def majorizer_tangent(demixing, estimates, factors, nu, alpha, beta):
+def majorizer_tangent(demixing, power, factors, nu, alpha, beta):
     """Surrogate obtained by tangent-line bounds on both log terms."""
     if math.isinf(nu):
         raise ValueError("the surrogate bounds are defined for finite nu")
-    num_frames = estimates.shape[1]
+    num_frames = power.shape[2]
     total = _det_term(demixing, num_frames)
     half = 1.0 + nu / 2.0
     for n, fac in enumerate(factors):
         p = fac.p
         model = fac.basis @ fac.activation
         sig_sq = model ** (2.0 / p)
-        inner = 1.0 + (2.0 / nu) * np.abs(estimates[:, :, n]) ** 2 / sig_sq
+        inner = 1.0 + (2.0 / nu) * power[n] / sig_sq
         a = alpha[:, :, n]
         b = beta[:, :, n]
         total += float(
@@ -288,11 +289,11 @@ def majorizer_tangent(demixing, estimates, factors, nu, alpha, beta):
     return total
 
 
-def majorizer_jensen(demixing, estimates, factors, nu, alpha, beta, gamma):
+def majorizer_jensen(demixing, power, factors, nu, alpha, beta, gamma):
     """Surrogate with the coupled sigma^-2 term additionally split by Jensen."""
     if math.isinf(nu):
         raise ValueError("the surrogate bounds are defined for finite nu")
-    num_frames = estimates.shape[1]
+    num_frames = power.shape[2]
     total = _det_term(demixing, num_frames)
     half = 1.0 + nu / 2.0
     for n, fac in enumerate(factors):
@@ -301,7 +302,7 @@ def majorizer_jensen(demixing, estimates, factors, nu, alpha, beta, gamma):
         model = fac.basis @ fac.activation
         tv = fac.basis[:, None, :] * fac.activation.T[None, :, :]  # (bins, frames, rank)
         split = np.sum(gamma[:, :, n, :] ** (e + 1.0) * tv ** (-e), axis=2)
-        inner = 1.0 + (2.0 / nu) * np.abs(estimates[:, :, n]) ** 2 * split
+        inner = 1.0 + (2.0 / nu) * power[n] * split
         a = alpha[:, :, n]
         b = beta[:, :, n]
         total += float(
@@ -326,19 +327,20 @@ class MajorizerTouchReport:
 
 
 def random_state(seed, num_bins=4, num_frames=5, num_sources=2, rank=2, p=1.5):
-    """Small random (W, Y, factors) tuple for oracle checks."""
+    """Small random (W, |Y|^2, factors) tuple for oracle checks; |Y|^2 is
+    (sources, bins, frames), the power of circular complex Gaussian estimates."""
     rng = np.random.default_rng(seed)
     demixing = rng.standard_normal((num_bins, num_sources, num_sources, 2))
     demixing = demixing[..., 0] + 1j * demixing[..., 1]
-    estimates = rng.standard_normal((num_bins, num_frames, num_sources, 2))
-    estimates = estimates[..., 0] + 1j * estimates[..., 1]
+    parts = rng.standard_normal((num_bins, num_frames, num_sources, 2))
+    power = np.moveaxis(parts[..., 0] ** 2 + parts[..., 1] ** 2, 2, 0)
     factors = [
         NmfFactors(
             0.1 + rng.random((num_bins, rank)), 0.1 + rng.random((rank, num_frames)), p
         )
         for _ in range(num_sources)
     ]
-    return demixing, estimates, factors
+    return demixing, power, factors
 
 
 def check_majorizer_touch(seed, nu, p, num_bins=4, num_frames=5, num_sources=2, rank=2,
@@ -349,14 +351,12 @@ def check_majorizer_touch(seed, nu, p, num_bins=4, num_frames=5, num_sources=2, 
     to ``tol`` (relative); at perturbed auxiliaries the chain
     cost <= tangent surrogate <= Jensen surrogate must hold.
     """
-    demixing, estimates, factors = random_state(
-        seed, num_bins, num_frames, num_sources, rank, p
-    )
+    demixing, power, factors = random_state(seed, num_bins, num_frames, num_sources, rank, p)
     sigma_p = np.stack([recompute_scale(f) for f in factors])
-    exact = cost_value(demixing, estimates, sigma_p, nu, p)
-    alpha, beta, gamma = optimal_auxiliaries(estimates, factors, nu)
-    tangent = majorizer_tangent(demixing, estimates, factors, nu, alpha, beta)
-    jensen = majorizer_jensen(demixing, estimates, factors, nu, alpha, beta, gamma)
+    exact = cost_value(demixing, power, sigma_p, nu, p)
+    alpha, beta, gamma = optimal_auxiliaries(power, factors, nu)
+    tangent = majorizer_tangent(demixing, power, factors, nu, alpha, beta)
+    jensen = majorizer_jensen(demixing, power, factors, nu, alpha, beta, gamma)
 
     scale = max(1.0, abs(exact))
     tangent_gap = abs(tangent - exact) / scale
@@ -368,10 +368,8 @@ def check_majorizer_touch(seed, nu, p, num_bins=4, num_frames=5, num_sources=2, 
     beta_pert = beta * (0.5 + 0.4 * rng.random(beta.shape))
     gamma_pert = gamma * (0.2 + rng.random(gamma.shape))
     gamma_pert /= np.sum(gamma_pert, axis=3, keepdims=True)
-    tangent_pert = majorizer_tangent(demixing, estimates, factors, nu, alpha_pert, beta_pert)
-    jensen_pert = majorizer_jensen(
-        demixing, estimates, factors, nu, alpha_pert, beta_pert, gamma_pert
-    )
+    tangent_pert = majorizer_tangent(demixing, power, factors, nu, alpha_pert, beta_pert)
+    jensen_pert = majorizer_jensen(demixing, power, factors, nu, alpha_pert, beta_pert, gamma_pert)
     slack = tol * scale
     dominance_ok = exact <= tangent_pert + slack and tangent_pert <= jensen_pert + slack
 

@@ -152,7 +152,7 @@ def write_wav(path, buffer, rate, bit_depth="float64"):
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
         b"RIFF",
-        36 + len(payload),
+        36 + len(payload) + (len(payload) & 1),  # the pad byte counts too
         b"WAVE",
         b"fmt ",
         16,

@@ -15,7 +15,7 @@ def random_complex(rng, *shape):
 
 def covariance_of_bin(x_frames, y, sigma_sq, nu):
     # the stacked covariance of a one-bin stack
-    return demix.weighted_covariance(x_frames[None], y[None], sigma_sq[None], nu)[0]
+    return demix.weighted_covariance(x_frames[None], np.abs(y[None]) ** 2, sigma_sq[None], nu)[0]
 
 
 def ip_update_of_bin(w_mat, cov, n):
@@ -88,7 +88,7 @@ class TestWeightedCovariance:
         y = random_complex(rng, 4, 10)
         sigma_sq = 0.5 + rng.random((4, 10))
         for nu in (2.0, math.inf):
-            ours = demix.weighted_covariance(x, y, sigma_sq, nu)
+            ours = demix.weighted_covariance(x, np.abs(y) ** 2, sigma_sq, nu)
             for i in range(4):
                 oracle = covariance_oracle(x[i], y[i], sigma_sq[i], nu)
                 assert np.max(np.abs(ours[i] - oracle)) <= 1e-12 * np.max(np.abs(oracle))
@@ -131,8 +131,7 @@ class TestIpUpdate:
     def test_singular_bins_are_flagged_not_raised(self):
         rng = np.random.default_rng(15)
         x = random_complex(rng, 4, 3, 10)
-        cov = demix.weighted_covariance(x, np.zeros((4, 10), complex), np.ones((4, 10)),
-                                        math.inf)
+        cov = demix.weighted_covariance(x, np.zeros((4, 10)), np.ones((4, 10)), math.inf)
         cov[1] = 0.0  # W U is exactly singular: LAPACK fails on this bin
         cov[3] = 1e-310 * np.eye(3)  # solvable, but the quadratic form collapses
         w_stack = random_complex(rng, 4, 3, 3)
@@ -170,8 +169,10 @@ class TestHeadResidual:
 
 
 def build_state(rng, num_bins=5, num_frames=8, num_sources=2, p=2.0):
+    # the power |y|^2 is laid out (sources, bins, frames), like sigma^p
     w_stack = random_complex(rng, num_bins, num_sources, num_sources)
     y = random_complex(rng, num_bins, num_frames, num_sources)
+    power = np.moveaxis(np.abs(y) ** 2, 2, 0)
     factors = [
         NmfFactors(
             0.1 + rng.random((num_bins, 2)), 0.1 + rng.random((2, num_frames)), p
@@ -179,38 +180,38 @@ def build_state(rng, num_bins=5, num_frames=8, num_sources=2, p=2.0):
         for _ in range(num_sources)
     ]
     sigma_p = np.stack([recompute_scale(f) for f in factors])
-    return w_stack, y, factors, sigma_p
+    return w_stack, power, factors, sigma_p
 
 
 class TestNormalize:
     def test_unit_power_is_fixed_point(self):
         rng = np.random.default_rng(7)
-        w_stack, y, factors, sigma_p = build_state(rng)
+        w_stack, power, factors, sigma_p = build_state(rng)
         for n in range(2):
-            y[:, :, n] /= np.sqrt(np.mean(np.abs(y[:, :, n]) ** 2))
-        w0, y0, s0 = w_stack.copy(), y.copy(), sigma_p.copy()
-        eta = demix.normalize(w_stack, y, sigma_p, factors)
+            power[n] /= np.mean(power[n])
+        w0, power0, s0 = w_stack.copy(), power.copy(), sigma_p.copy()
+        eta = demix.normalize(w_stack, power, sigma_p, factors)
         assert np.allclose(eta, 1.0, atol=1e-12)
         assert np.allclose(w_stack, w0, rtol=1e-12)
-        assert np.allclose(y, y0, rtol=1e-12)
+        assert np.allclose(power, power0, rtol=1e-12)
         assert np.allclose(sigma_p, s0, rtol=1e-12)
 
     def test_inverse_scaling_restores_state(self):
         rng = np.random.default_rng(8)
-        w_stack, y, factors, sigma_p = build_state(rng)
-        demix.normalize(w_stack, y, sigma_p, factors)  # reach unit power first
-        w0, y0, s0 = w_stack.copy(), y.copy(), sigma_p.copy()
+        w_stack, power, factors, sigma_p = build_state(rng)
+        demix.normalize(w_stack, power, sigma_p, factors)  # reach unit power first
+        w0, power0, s0 = w_stack.copy(), power.copy(), sigma_p.copy()
         b0 = [f.basis.copy() for f in factors]
 
         n, p = 0, factors[0].p
         w_stack[:, n, :] *= 2.0
-        y[:, :, n] *= 2.0
+        power[n] *= 2.0**2
         sigma_p[n] *= 2.0**p
         factors[n].basis *= 2.0**p
-        eta = demix.normalize(w_stack, y, sigma_p, factors)
+        eta = demix.normalize(w_stack, power, sigma_p, factors)
         assert eta[n] == pytest.approx(2.0, rel=1e-12)
         assert np.allclose(w_stack, w0, rtol=1e-12)
-        assert np.allclose(y, y0, rtol=1e-12)
+        assert np.allclose(power, power0, rtol=1e-12)
         assert np.allclose(sigma_p, s0, rtol=1e-12)
         assert np.allclose(factors[n].basis, b0[n], rtol=1e-12)
 
@@ -226,23 +227,23 @@ class TestNormalize:
     )
     def test_cost_invariance(self, nu, p, floored):
         rng = np.random.default_rng(9)
-        w_stack, y, factors, sigma_p = build_state(rng, p=p)
+        w_stack, power, factors, sigma_p = build_state(rng, p=p)
         if floored:
             factors[0].basis[1] = 0.0
             sigma_p = np.stack([recompute_scale(f) for f in factors])
             assert np.all(sigma_p[0, 1] == scale_floor(p))
-            y *= 3.0 / np.sqrt(np.mean(np.abs(y) ** 2))
-        before = cost_value(w_stack, y, sigma_p, nu, p)
-        demix.normalize(w_stack, y, sigma_p, factors)
-        after = cost_value(w_stack, y, sigma_p, nu, p)
+            power *= 3.0**2 / np.mean(power)
+        before = cost_value(w_stack, power, sigma_p, nu, p)
+        demix.normalize(w_stack, power, sigma_p, factors)
+        after = cost_value(w_stack, power, sigma_p, nu, p)
         assert after == pytest.approx(before, rel=1e-9)
 
     def test_degenerate_source_raises(self):
         rng = np.random.default_rng(10)
-        w_stack, y, factors, sigma_p = build_state(rng)
-        y[:, :, 1] = 0.0
+        w_stack, power, factors, sigma_p = build_state(rng)
+        power[1] = 0.0
         with pytest.raises(DegenerateSourceError):
-            demix.normalize(w_stack, y, sigma_p, factors)
+            demix.normalize(w_stack, power, sigma_p, factors)
 
 
 class TestBackProject:

@@ -23,6 +23,11 @@ def small_scene_spec(seed, num_bins=33, num_frames=48, num_sources=2):
     return scene, synthetic.scene_spectrogram(scene)
 
 
+def power_of(y):
+    # |y|^2 laid out (sources, bins, frames), as the engine carries it
+    return np.moveaxis(np.abs(y) ** 2, 2, 0)
+
+
 def cost_oracle(w_stack, y, sigma_p, nu, p):
     # independent transcription of the full negative log-likelihood
     num_bins, num_frames, num_sources = y.shape
@@ -67,16 +72,16 @@ class TestCost:
         w = np.tile(np.eye(2, dtype=complex), (3, 1, 1))
         y = np.zeros((3, 4, 2), complex)
         sigma_p = np.ones((2, 3, 4))
-        assert cost_value(w, y, sigma_p, math.inf, 2.0) == 0.0
-        assert cost_value(w, y, sigma_p, 7.0, 2.0) == 0.0
+        assert cost_value(w, power_of(y), sigma_p, math.inf, 2.0) == 0.0
+        assert cost_value(w, power_of(y), sigma_p, 7.0, 2.0) == 0.0
 
     def test_large_nu_approaches_gaussian(self):
         rng = np.random.default_rng(0)
         w = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
         y = rng.standard_normal((3, 4, 2)) + 1j * rng.standard_normal((3, 4, 2))
         sigma_p = 0.5 + rng.random((2, 3, 4))
-        near = cost_value(w, y, sigma_p, 1e9, 2.0)
-        exact = cost_value(w, y, sigma_p, math.inf, 2.0)
+        near = cost_value(w, power_of(y), sigma_p, 1e9, 2.0)
+        exact = cost_value(w, power_of(y), sigma_p, math.inf, 2.0)
         assert near == pytest.approx(exact, rel=1e-6)
 
     @pytest.mark.parametrize("nu,p", [(math.inf, 2.0), (2.0, 1.0), (8.0, 1.5)])
@@ -85,7 +90,7 @@ class TestCost:
         w = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
         y = rng.standard_normal((3, 4, 2)) + 1j * rng.standard_normal((3, 4, 2))
         sigma_p = 0.5 + rng.random((2, 3, 4))
-        ours = cost_value(w, y, sigma_p, nu, p)
+        ours = cost_value(w, power_of(y), sigma_p, nu, p)
         assert ours == pytest.approx(cost_oracle(w, y, sigma_p, nu, p), rel=1e-10)
 
     def test_singular_bin_is_named(self):
@@ -95,7 +100,7 @@ class TestCost:
         y = rng.standard_normal((4, 3, 2)) + 1j * rng.standard_normal((4, 3, 2))
         sigma_p = 0.5 + rng.random((2, 4, 3))
         with pytest.raises(SingularMatrixError, match=r"^bin 2: "):
-            cost_value(w, y, sigma_p, 4.0, 1.0)
+            cost_value(w, power_of(y), sigma_p, 4.0, 1.0)
 
 
 def reference_t_ilrma(values, num_bases, seed, nu, p, iterations):
@@ -213,10 +218,50 @@ class TestRun:
 
     def test_errors_carry_iteration_context(self):
         _, spec = small_scene_spec(1, num_bins=9, num_frames=12)
-        zero = ComplexSpectrogram(np.zeros_like(spec.values), spec.config, spec.num_samples)
+        values = spec.values.copy()
+        values[0] = 0.0  # a silent bin; the channels stay independent
+        silent_bin = ComplexSpectrogram(values, spec.config, spec.num_samples)
         hp = HyperParams(nu=math.inf, p=2.0, num_bases=2, iterations=1, seed=0)
         with pytest.raises(TilrmaError, match=r"iteration 0: bin 0"):
-            engine.separate(zero, hp)
+            engine.separate(silent_bin, hp)
+
+    @pytest.mark.parametrize(
+        "defect,message",
+        [
+            ("duplicated", r"^channel 2 duplicates channel\(s\) 1 "),
+            ("silent", r"^silent channel\(s\) 1: "),
+            ("all-silent", r"^silent channel\(s\) 1, 2: "),
+        ],
+    )
+    def test_dependent_channels_are_rejected_before_iterating(self, defect, message):
+        scene = synthetic.make_scene(0)
+        if defect == "duplicated":
+            scene.observation[:, :, 1] = scene.observation[:, :, 0]
+        else:
+            scene.observation[:, :, 0] = 0.0
+            if defect == "all-silent":
+                scene.observation[:, :, 1] = 0.0
+        spec = synthetic.scene_spectrogram(scene)
+        hp = HyperParams(nu=10.0, p=1.0, num_bases=2, iterations=3, seed=0)
+        with pytest.raises(TilrmaError, match=message):
+            engine.separate(spec, hp)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e160])
+    def test_channel_check_is_level_free(self, scale):
+        # independent channels pass at any level: no Gram entry over- or underflows
+        scene = synthetic.make_scene(0, num_bins=33, num_frames=48)
+        engine._check_channel_rank(scene.observation * scale)
+
+    def test_power_matches_demixed_observation(self):
+        # the cached |y|^2 must equal |W_i x_ij|^2 of the current W after
+        # every iteration, t model and Gaussian
+        _, spec = small_scene_spec(2, num_sources=3)
+        for nu, p, steps in ((5.0, 1.0, 10), (math.inf, 2.0, 1)):
+            state = engine._init_state(spec, HyperParams(nu=nu, p=p, num_bases=2, seed=2), p)
+            for _ in range(steps):
+                engine._iterate(state, nu, p, 1)
+                y = np.einsum("inm,ijm->ijn", state.demixing, state.obs)
+                assert np.allclose(state.power, power_of(y), rtol=1e-12, atol=0)
 
     def test_metadata_carries_reproduction_info(self):
         _, spec = small_scene_spec(5)

@@ -19,14 +19,24 @@ class TestPcm16:
         assert np.all(samples[1::2, 0] == -1.0)
 
     def test_header_matches_stdlib_parser(self, tmp_path):
-        path = tmp_path / "check.wav"
         rng = np.random.default_rng(0)
-        wavio.write_wav(path, 0.5 * rng.standard_normal((400, 2)), 16000, "pcm16")
-        with wave.open(str(path)) as fh:
-            assert fh.getnchannels() == 2
-            assert fh.getframerate() == 16000
-            assert fh.getsampwidth() == 2
-            assert fh.getnframes() == 400
+        # (signal, encoding, channels, sample width); the 3-sample mono pcm24
+        # payload is 9 bytes, so a pad byte follows it
+        cases = [
+            (0.5 * rng.standard_normal((400, 2)), "pcm16", 2, 2),
+            (np.array([0.1, -0.2, 0.3]), "pcm24", 1, 3),
+        ]
+        for signal, encoding, channels, width in cases:
+            path = tmp_path / f"check_{encoding}.wav"
+            wavio.write_wav(path, signal, 16000, encoding)
+            with wave.open(str(path)) as fh:
+                assert fh.getnchannels() == channels
+                assert fh.getframerate() == 16000
+                assert fh.getsampwidth() == width
+                assert fh.getnframes() == len(signal)
+            data = path.read_bytes()
+            # the RIFF size field counts every byte after it, the pad byte included
+            assert struct.unpack("<I", data[4:8])[0] == len(data) - 8
 
     def test_clipping_is_logged(self, tmp_path, caplog):
         path = tmp_path / "clip.wav"
