@@ -127,7 +127,16 @@ def cmd_separate(args):
                 raise TilrmaError(
                     f"reference {path} is at {ref_rate:g} Hz, the input at {rate:g} Hz"
                 )
-            refs.append(ref[:, min(ref_channel, ref.shape[1] - 1)])
+            if ref.shape[1] == 1:
+                refs.append(ref[:, 0])  # a mono reference serves any channel
+            elif ref_channel < ref.shape[1]:
+                refs.append(ref[:, ref_channel])
+            else:
+                raise TilrmaError(
+                    f"reference {path} has {ref.shape[1]} channels; --ref-channel "
+                    f"{args.ref_channel} needs a mono reference or at least "
+                    f"{args.ref_channel} channels"
+                )
 
     num_bases = args.bases if args.bases is not None else PRESET_BASES[args.preset]
     stft = StftConfig(rate, args.window_ms, args.shift_ms)

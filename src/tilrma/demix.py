@@ -7,6 +7,12 @@ matrices of all bins go through one stacked numpy call.  Only ``back_project``
 takes the complex estimates y; the rest takes their real power |y|^2.  A bin
 whose matrix LAPACK cannot factor, or whose result is not finite, is flagged
 or named in a ``SingularMatrixError``; numpy's ``LinAlgError`` never escapes.
+
+The observation enters the covariances only through its outer products
+x_ij x_ij^H, which do not change during a run.  ``outer_products`` stores
+them once as M^2 real coordinates per slot, and ``weighted_covariance`` is
+then one real weighted sum over frames per source, unpacked into the
+Hermitian M x M result.
 """
 
 import math
@@ -75,13 +81,42 @@ def invert(mats):
     return inv
 
 
-def weighted_covariance(obs_t, power, sigma_sq, nu):
-    """Weighted sample covariances of one source in every bin.
+def outer_products(obs):
+    """Real coordinates of every outer product x_ij x_ij^H, (bins, frames, M^2).
+
+    Column m < M holds |x_m|^2; then, for each pair a < b in row-major order
+    (``np.triu_indices(M, 1)``), two columns hold Re and Im of x_a x_b^*.
+    Together they fix the Hermitian matrix x x^H: entry (a, b) above the
+    diagonal is Re + i Im of its pair, and entry (b, a) its conjugate.
 
     Parameters
     ----------
-    obs_t: ndarray (bins, channels, frames), complex
-        Observed vectors, one column per frame.
+    obs: ndarray (bins, frames, M), complex
+    """
+    num_bins, num_frames, m = obs.shape
+    stats = np.empty((num_bins, num_frames, m * m))
+    # filled column by column: no (bins, frames, pairs) complex temporaries
+    for a in range(m):
+        np.square(obs[..., a].real, out=stats[..., a])
+        stats[..., a] += np.square(obs[..., a].imag)
+    for k, (a, b) in enumerate(zip(*np.triu_indices(m, 1))):
+        prod = obs[..., a] * obs[..., b].conj()
+        stats[..., m + 2 * k] = prod.real
+        stats[..., m + 2 * k + 1] = prod.imag
+    return stats
+
+
+def weighted_covariance(stats, power, sigma_sq, nu):
+    """Weighted sample covariances of one source in every bin.
+
+    U_i = (1 + 2/nu)/J sum_j weight_ij x_ij x_ij^H, formed as one real
+    product of the weights with the run-constant coordinates of
+    ``outer_products`` and unpacked into the Hermitian result.
+
+    Parameters
+    ----------
+    stats: ndarray (bins, frames, M^2), real
+        ``outer_products`` of the observation.
     power: ndarray (bins, frames)
         |y|^2 of this source's current estimate.
     sigma_sq: ndarray (bins, frames)
@@ -91,14 +126,23 @@ def weighted_covariance(obs_t, power, sigma_sq, nu):
 
     Returns
     -------
-    ndarray (bins, channels, channels), Hermitian positive semidefinite.
+    ndarray (bins, M, M), complex, Hermitian positive semidefinite.
     """
     # sigma_sq > 0 is a caller contract.  The source model floors sigma^p
     # where it produces it; after ``normalize`` a floored slot holds
     # eta^-p times the floor, so sigma_sq may sit below FLOOR.
     w = _t_weight(sigma_sq, power, nu)
-    gain = (1.0 + 2.0 / nu) / obs_t.shape[2]
-    return gain * ((obs_t * w[:, None, :]) @ obs_t.conj().transpose(0, 2, 1))
+    coords = (w[:, None, :] @ stats)[:, 0, :]
+    coords *= (1.0 + 2.0 / nu) / stats.shape[1]
+    m = math.isqrt(stats.shape[2])
+    diag = np.arange(m)
+    rows, cols = np.triu_indices(m, 1)
+    cov = np.empty((stats.shape[0], m, m), dtype=np.complex128)
+    cov[:, diag, diag] = coords[:, :m]
+    re, im = coords[:, m::2], coords[:, m + 1::2]
+    cov[:, rows, cols] = re + 1j * im
+    cov[:, cols, rows] = re - 1j * im
+    return cov
 
 
 def ip_update(w_stack, cov, n):

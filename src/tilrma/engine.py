@@ -98,7 +98,7 @@ class RunState:
     """Mutable state owned by the engine during a run."""
 
     obs: np.ndarray        # (bins, frames, channels)
-    obs_t: np.ndarray      # (bins, channels, frames), contiguous column view
+    stats: np.ndarray      # (bins, frames, M^2), real; demix.outer_products(obs)
     demixing: np.ndarray   # (bins, sources, sources); row n of W_i is w_n^H
     power: np.ndarray      # (sources, bins, frames), |y|^2 with y_ij = W_i x_ij
     factors: list          # per-source NmfFactors
@@ -173,7 +173,7 @@ def _refresh_power(state):
 def _covariance(state, n, nu, p):
     """Weighted covariances of source n in every bin, (bins, M, M)."""
     return demix.weighted_covariance(
-        state.obs_t, state.power[n], sigma_squared(state.sigma_p[n], p), nu
+        state.stats, state.power[n], sigma_squared(state.sigma_p[n], p), nu
     )
 
 
@@ -246,7 +246,7 @@ def _init_state(spec, hp, p, initial_factors=None):
         ]
     state = RunState(
         obs=values,
-        obs_t=np.ascontiguousarray(values.transpose(0, 2, 1)),
+        stats=demix.outer_products(values),
         demixing=demixing,
         power=np.empty((num_sources, num_bins, num_frames)),
         factors=factors,
@@ -310,12 +310,13 @@ def _check_initial_factors(initial_factors, shape, num_bases, p):
 
 
 def _finalize(state, spec, hp, started, stage_boundary):
-    # the covariances, the power and obs_t are all released before the images exist
+    # the covariances, the power, the scales and the outer products are all
+    # released before the images exist
     head_residual = max(
         demix.head_residual(state.demixing, _covariance(state, n, hp.nu, hp.p), n)
         for n in range(len(state.factors))
     )
-    state.power = state.obs_t = None
+    state.power = state.stats = state.sigma_p = None
     y = _demixed(state)
     images = [
         ComplexSpectrogram(

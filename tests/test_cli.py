@@ -122,13 +122,15 @@ class TestSeparate:
             ("missing-ref", r"nope\.wav"),
             ("zero-taps", r"--taps must be at least 1"),
             ("ref-rate", r"ref1\.wav is at 16000 Hz, the input at 8000 Hz"),
+            ("ref-channels", r"ref1\.wav has 2 channels; --ref-channel 3 needs a mono reference"),
         ],
-        ids=["one-ref", "missing-ref", "zero-taps", "ref-rate"],
+        ids=["one-ref", "missing-ref", "zero-taps", "ref-rate", "ref-channels"],
     )
     def test_bad_evaluation_arguments_are_rejected_before_separation(
             self, mixture_fixture, tmp_path, capsys, defect, message):
         mix_path, ref_paths = mixture_fixture
         taps = "1"
+        extra = []
         if defect == "one-ref":
             ref_paths = ref_paths[:1]
         elif defect == "missing-ref":
@@ -136,11 +138,21 @@ class TestSeparate:
         elif defect == "ref-rate":
             samples, _ = wavio.read_wav(ref_paths[1])
             wavio.write_wav(ref_paths[1], samples, 16000, "float64")
+        elif defect == "ref-channels":
+            # a third, independent channel; ref1 has 2 channels, so it has no channel 3
+            samples, rate = wavio.read_wav(mix_path)
+            third = np.random.default_rng(1).standard_normal(samples.shape[0]) * 0.1
+            mix_path = tmp_path / "mixture3.wav"
+            wavio.write_wav(mix_path, np.column_stack([samples, third]), rate, "float64")
+            mono, _ = wavio.read_wav(ref_paths[1])
+            wavio.write_wav(ref_paths[1], np.column_stack([mono, mono]), rate, "float64")
+            ref_paths = ref_paths + [ref_paths[0]]
+            extra = ["--ref-channel", "3"]
         else:
             taps = "0"
         out = tmp_path / "out_eval"
         code = cli.main(["separate", str(mix_path), "--iters", "2", "--refs", *ref_paths,
-                         "--taps", taps, "--out", str(out)] + SMALL_STFT)
+                         "--taps", taps, "--out", str(out)] + extra + SMALL_STFT)
         assert code == 1
         assert re.search(r"^error: .*" + message, capsys.readouterr().err)
         assert list(out.glob("*")) == []

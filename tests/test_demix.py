@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from tilrma import demix
-from tilrma.engine import cost_value
+from tilrma import demix, engine, synthetic
+from tilrma.engine import HyperParams, cost_value
 from tilrma.errors import DegenerateSourceError, SingularMatrixError
 from tilrma.source_model import NmfFactors, recompute_scale, scale_floor
 
@@ -14,8 +14,9 @@ def random_complex(rng, *shape):
 
 
 def covariance_of_bin(x_frames, y, sigma_sq, nu):
-    # the stacked covariance of a one-bin stack
-    return demix.weighted_covariance(x_frames[None], np.abs(y[None]) ** 2, sigma_sq[None], nu)[0]
+    # the stacked covariance of a one-bin stack; x_frames is (channels, frames)
+    stats = demix.outer_products(x_frames.T[None])
+    return demix.weighted_covariance(stats, np.abs(y[None]) ** 2, sigma_sq[None], nu)[0]
 
 
 def ip_update_of_bin(w_mat, cov, n):
@@ -88,8 +89,24 @@ class TestWeightedCovariance:
         y = random_complex(rng, 4, 10)
         sigma_sq = 0.5 + rng.random((4, 10))
         for nu in (2.0, math.inf):
-            ours = demix.weighted_covariance(x, np.abs(y) ** 2, sigma_sq, nu)
+            stats = demix.outer_products(x.transpose(0, 2, 1))
+            ours = demix.weighted_covariance(stats, np.abs(y) ** 2, sigma_sq, nu)
             for i in range(4):
+                oracle = covariance_oracle(x[i], y[i], sigma_sq[i], nu)
+                assert np.max(np.abs(ours[i] - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+    def test_weights_spanning_1e12_in_one_bin(self):
+        # sigma^2 from 1e-12 to 1 within each bin: the real weighted sum keeps
+        # the frame-by-frame oracle's accuracy
+        rng = np.random.default_rng(17)
+        x = random_complex(rng, 3, 3, 40)
+        y = random_complex(rng, 3, 40)
+        sigma_sq = 10.0 ** rng.uniform(-12.0, 0.0, (3, 40))
+        sigma_sq[:, 0], sigma_sq[:, 1] = 1e-12, 1.0
+        stats = demix.outer_products(x.transpose(0, 2, 1))
+        for nu in (1.0, 10.0, math.inf):
+            ours = demix.weighted_covariance(stats, np.abs(y) ** 2, sigma_sq, nu)
+            for i in range(3):
                 oracle = covariance_oracle(x[i], y[i], sigma_sq[i], nu)
                 assert np.max(np.abs(ours[i] - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
@@ -102,6 +119,36 @@ class TestWeightedCovariance:
             np.outer(x[:, j], np.conj(x[:, j])) / r[j] for j in range(24)
         ) / 24
         assert np.max(np.abs(ours - conventional)) <= 1e-12 * np.max(np.abs(conventional))
+
+
+class TestOuterProducts:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_every_slot_unpacks_to_the_outer_product(self, m):
+        rng = np.random.default_rng(18 + m)
+        obs = random_complex(rng, 3, 5, m)
+        stats = demix.outer_products(obs)
+        assert stats.shape == (3, 5, m * m) and stats.dtype == np.float64
+        rows, cols = np.triu_indices(m, 1)
+        for i in range(3):
+            for j in range(5):
+                # the documented column order: |x_m|^2, then (Re, Im) of x_a x_b^* per a < b
+                unpacked = np.diag(stats[i, j, :m]).astype(complex)
+                upper = stats[i, j, m::2] + 1j * stats[i, j, m + 1::2]
+                unpacked[rows, cols] = upper
+                unpacked[cols, rows] = np.conj(upper)
+                outer = np.outer(obs[i, j], obs[i, j].conj())
+                assert np.max(np.abs(unpacked - outer)) <= 1e-15 * np.max(np.abs(outer))
+
+    def test_run_state_carries_them_and_finalize_releases_them(self):
+        scene = synthetic.make_scene(0, num_bins=9, num_frames=16)
+        spec = synthetic.scene_spectrogram(scene)
+        hp = HyperParams(nu=5.0, p=1.0, num_bases=2, iterations=1)
+        state = engine._init_state(spec, hp, hp.p)
+        assert not hasattr(state, "obs_t")
+        assert np.array_equal(state.stats, demix.outer_products(state.obs))
+        engine._iterate(state, hp.nu, hp.p, 1)
+        engine._finalize(state, spec, hp, started=0.0, stage_boundary=None)
+        assert state.stats is None and state.power is None and state.sigma_p is None
 
 
 class TestIpUpdate:
@@ -131,7 +178,8 @@ class TestIpUpdate:
     def test_singular_bins_are_flagged_not_raised(self):
         rng = np.random.default_rng(15)
         x = random_complex(rng, 4, 3, 10)
-        cov = demix.weighted_covariance(x, np.zeros((4, 10)), np.ones((4, 10)), math.inf)
+        stats = demix.outer_products(x.transpose(0, 2, 1))
+        cov = demix.weighted_covariance(stats, np.zeros((4, 10)), np.ones((4, 10)), math.inf)
         cov[1] = 0.0  # W U is exactly singular: LAPACK fails on this bin
         cov[3] = 1e-310 * np.eye(3)  # solvable, but the quadratic form collapses
         w_stack = random_complex(rng, 4, 3, 3)
@@ -141,6 +189,58 @@ class TestIpUpdate:
             assert np.allclose(w[i], ip_update_of_bin(w_stack[i], cov[i], 2), rtol=1e-12)
             quad = np.real(np.conj(w[i]) @ cov[i] @ w[i])
             assert quad == pytest.approx(1.0, abs=1e-10)
+
+
+class TestInvert:
+    def test_identity(self):
+        assert np.array_equal(demix.invert(np.eye(2)[None]), np.eye(2)[None])
+
+    def test_diagonal(self):
+        out = demix.invert(np.diag([2.0, 4.0])[None])[0]
+        assert np.allclose(out, np.diag([0.5, 0.25]), atol=0)
+
+    def test_random_3x3_product_is_identity(self):
+        rng = np.random.default_rng(7)
+        m = random_complex(rng, 6, 3, 3) + 3.0 * np.eye(3)
+        assert np.max(np.abs(m @ demix.invert(m) - np.eye(3))) <= 1e-10
+
+    def test_singular_raises(self):
+        stack = np.array([np.eye(2), [[1.0, 2.0], [2.0, 4.0]]])
+        with pytest.raises(SingularMatrixError, match=r"^bin 1: "):
+            demix.invert(stack)
+
+    def test_double_inverse_round_trip(self):
+        rng = np.random.default_rng(11)
+        m = random_complex(rng, 20, 4, 4)
+        m = m[np.linalg.cond(m) <= 1e6]
+        back = demix.invert(demix.invert(m))
+        assert np.max(np.abs(back - m)) <= 1e-8 * np.max(np.abs(m))
+
+
+class TestSolveColumn:
+    def test_identity(self):
+        assert np.array_equal(demix.solve_unit(np.eye(3)[None], 2)[0], np.eye(3)[:, 2])
+
+    def test_diagonal(self):
+        out = demix.solve_unit(np.diag([2.0, 5.0])[None], 0)[0]
+        assert np.allclose(out, [0.5, 0.0], atol=0)
+
+    def test_random_residual(self):
+        rng = np.random.default_rng(3)
+        m = random_complex(rng, 5, 4, 4)
+        for n in range(4):
+            v = demix.solve_unit(m, n)
+            for i in range(5):
+                resid = m[i] @ v[i] - np.eye(4)[:, n]
+                assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(v[i]) * np.linalg.norm(m[i])
+
+    def test_singular_bins_come_back_nan(self):
+        rng = np.random.default_rng(4)
+        m = random_complex(rng, 4, 2, 2)
+        m[1] = 0.0
+        v = demix.solve_unit(m, 0)
+        assert np.all(np.isnan(v[1]))
+        assert np.all(np.isfinite(np.delete(v, 1, axis=0)))
 
 
 class TestHeadResidual:
