@@ -1,26 +1,18 @@
-"""The stacked linear algebra of the engine: unit-vector solves and inverses
-(``demix``) and log-determinants (``engine``), one numpy call per stack of
-frequency bins, with singular bins flagged or named."""
+"""The stacked unit-vector solves and inverses of ``demix``: one numpy call
+per stack of frequency bins, with singular bins flagged or named.
+
+``engine.log_abs_det``, once tested here too, is tested in
+``tests/test_engine.py``."""
 
 import numpy as np
 import pytest
 
 from tilrma import demix
-from tilrma.engine import log_abs_det
 from tilrma.errors import SingularMatrixError
 
 
 def random_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def cofactor_det_3x3(m):
-    # independent oracle: direct cofactor expansion
-    return (
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-    )
 
 
 class TestInvert:
@@ -73,39 +65,3 @@ class TestSolveColumn:
         v = demix.solve_unit(m, 0)
         assert np.all(np.isnan(v[1]))
         assert np.all(np.isfinite(np.delete(v, 1, axis=0)))
-
-
-class TestLogAbsDet:
-    def test_identity_is_zero(self):
-        for n in (1, 2, 5, 8):
-            assert np.array_equal(log_abs_det(np.eye(n)[None]), [0.0])
-
-    def test_diagonal(self):
-        out = log_abs_det(np.diag([2.0, 4.0])[None])[0]
-        assert out == pytest.approx(np.log(8.0), rel=1e-14)
-
-    def test_random_vs_cofactor_oracle(self):
-        rng = np.random.default_rng(17)
-        m = random_complex(rng, 50, 3, 3)
-        expected = [np.log(abs(cofactor_det_3x3(mat))) for mat in m]
-        assert log_abs_det(m) == pytest.approx(expected, rel=1e-10)
-
-    def test_product_rule(self):
-        rng = np.random.default_rng(23)
-        a = random_complex(rng, 30, 4, 4)
-        b = random_complex(rng, 30, 4, 4)
-        lhs = log_abs_det(a @ b)
-        rhs = log_abs_det(a) + log_abs_det(b)
-        assert np.all(np.abs(lhs - rhs) <= 1e-9 * np.maximum(1.0, np.abs(rhs)))
-
-    def test_underflow_raises(self):
-        with pytest.raises(SingularMatrixError):
-            log_abs_det(np.zeros((1, 2, 2)))
-
-    def test_first_singular_bin_is_named(self):
-        rng = np.random.default_rng(29)
-        m = random_complex(rng, 6, 2, 2)
-        m[3] = [[1.0, 2.0], [2.0, 4.0]]
-        m[5] = 0.0
-        with pytest.raises(SingularMatrixError, match=r"^bin 3: "):
-            log_abs_det(m)
