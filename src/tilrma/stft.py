@@ -182,14 +182,22 @@ def synthesize(spec):
     num_frames = spec.num_frames
     dual = _dual_window(_analysis_window(win_len), hop)
 
-    padded_len = (num_frames - 1) * hop + win_len
+    ratio = cfg.overlap_ratio
     out = np.zeros((spec.num_samples, spec.num_streams))
-    buf = np.empty(padded_len)
+    # one row per hop of the padded signal; frame j covers rows j..j+ratio-1
+    rows = np.empty((num_frames - 1 + ratio, hop))
     for ch in range(spec.num_streams):
-        buf[:] = 0.0
-        pieces = np.fft.irfft(spec.values[:, :, ch].T, n=win_len, axis=1) * dual
-        for j in range(num_frames):
-            start = j * hop
-            buf[start : start + win_len] += pieces[j]
-        out[:, ch] = buf[front : front + spec.num_samples]
+        rows[:] = 0.0
+        # a contiguous (frames, bins) copy transforms about twice as fast as
+        # the strided view
+        pieces = np.fft.irfft(
+            np.ascontiguousarray(spec.values[:, :, ch].T), n=win_len, axis=1
+        )
+        pieces *= dual
+        pieces = pieces.reshape(num_frames, ratio, hop)
+        # phase q of every frame in one add; descending q adds each sample's
+        # frames in ascending order, as a frame-by-frame overlap-add would
+        for q in reversed(range(ratio)):
+            rows[q : q + num_frames] += pieces[:, q]
+        out[:, ch] = rows.reshape(-1)[front : front + spec.num_samples]
     return out

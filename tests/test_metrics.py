@@ -37,6 +37,49 @@ def _loop_sdr_projection(reference, estimate, taps):
     return metrics._capped_db(float(padded @ padded), float(err @ err))
 
 
+def lstsq_sdr(reference, estimate, taps):
+    """Projection SDR from an explicit delayed-reference matrix and a dense
+    least-squares fit: the oracle for accuracy at high SDR."""
+    length = reference.shape[0]
+    shifted = np.zeros((length + taps - 1, taps))
+    for d in range(taps):
+        shifted[d : d + length, d] = reference
+    padded_est = np.concatenate([estimate, np.zeros(taps - 1)])
+    coef, *_ = np.linalg.lstsq(shifted, padded_est, rcond=None)
+    target = shifted @ coef
+    err = padded_est - target
+    return 10 * np.log10((target @ target) / (err @ err))
+
+
+def smallest_even_5_smooth(limit):
+    """``out[n]`` is the smallest even m >= max(n, 2) with no prime factor
+    above 5, for n < ``limit``, by trial division of every candidate."""
+    def smooth(m):
+        for prime in (2, 3, 5):
+            while m % prime == 0:
+                m //= prime
+        return m == 1
+
+    out = np.empty(limit, dtype=np.int64)
+    m = 2 * limit
+    while not smooth(m):
+        m += 2
+    for n in range(limit - 1, -1, -1):
+        if n >= 2 and n % 2 == 0 and smooth(n):
+            m = n
+        out[n] = m
+    return out
+
+
+def test_fft_size_is_smallest_even_5_smooth_length():
+    expected = smallest_even_5_smooth(20001)
+    for need in range(1, 20001):
+        taps = need // 2 + 1
+        length = need - taps + 1
+        assert metrics._fft_size(length, taps) == expected[need], need
+    assert metrics._fft_size(160000, 512) == 162000
+
+
 class TestSiSdr:
     def test_perfect_match_hits_cap(self):
         rng = np.random.default_rng(0)
@@ -74,6 +117,10 @@ class TestSiSdr:
         ref = rng.standard_normal(400)
         assert metrics.si_sdr(ref, orthogonal_noise(rng, ref)) == -metrics.CAP_DB
 
+    def test_silent_estimate_hits_negative_cap(self):
+        ref = np.random.default_rng(4).standard_normal(400)
+        assert metrics.si_sdr(ref, np.zeros(400)) == -metrics.CAP_DB
+
 
 class TestSdrProjection:
     def test_single_tap_reduces_to_si_sdr(self):
@@ -94,24 +141,38 @@ class TestSdrProjection:
             assert metrics.sdr_projection(ref, est, taps=8) == metrics.CAP_DB
 
     def test_matches_dense_least_squares_oracle(self):
-        # the second input has more taps than samples: every delayed copy
-        # still fits in the zero-padded signal, so the score is well defined
-        for length, taps in ((600, 6), (100, 300)):
+        # the last two inputs have more taps than samples: every delayed copy
+        # still fits in the zero-padded signal, so the score is well defined;
+        # at (40, 52) one sample less of FFT length (90, itself 5-smooth)
+        # would wrap est[0] * ref[39] into the correlation at lag 51
+        for length, taps in ((600, 6), (100, 300), (40, 52)):
             rng = np.random.default_rng(7)
             ref = rng.standard_normal(length)
             est = rng.standard_normal(length)
             ours = metrics.sdr_projection(ref, est, taps)
+            assert ours == pytest.approx(lstsq_sdr(ref, est, taps), abs=1e-9)
 
-            # oracle: explicit delayed-reference matrix, lstsq projection
-            shifted = np.zeros((length + taps - 1, taps))
-            for d in range(taps):
-                shifted[d : d + length, d] = ref
-            padded_est = np.concatenate([est, np.zeros(taps - 1)])
-            coef, *_ = np.linalg.lstsq(shifted, padded_est, rcond=None)
-            target = shifted @ coef
-            err = padded_est - target
-            expected = 10 * np.log10((target @ target) / (err @ err))
-            assert ours == pytest.approx(expected, abs=1e-9)
+    @pytest.mark.parametrize(
+        "target_db, tolerance_db",
+        [(20, 1e-6), (40, 1e-6), (60, 1e-6), (80, 1e-6), (95, 1e-4)],
+    )
+    def test_high_sdr_matches_dense_least_squares_oracle(self, target_db, tolerance_db):
+        # the quadratic-form residual cancels against the estimate's energy,
+        # so its rounding grows like eps * 10**(SDR/10)
+        rng = np.random.default_rng(target_db)
+        ref = rng.standard_normal(4000)
+        noise = rng.standard_normal(4000)
+        gain = 0.7 * np.linalg.norm(ref) / np.linalg.norm(noise) * 10 ** (-target_db / 20)
+        est = 0.7 * ref + gain * noise
+        expected = lstsq_sdr(ref, est, 64)
+        assert expected == pytest.approx(target_db, abs=0.1)
+        assert metrics.sdr_projection(ref, est, 64) == pytest.approx(
+            expected, abs=tolerance_db
+        )
+
+    def test_silent_estimate_hits_negative_cap(self):
+        ref = np.random.default_rng(4).standard_normal(400)
+        assert metrics.sdr_projection(ref, np.zeros(400), 16) == -metrics.CAP_DB
 
     @pytest.mark.parametrize("taps", [1, 7, 512])
     @pytest.mark.parametrize("length", [1001, 4099])
@@ -202,6 +263,15 @@ class TestAlignPermutation:
         report = metrics.align_permutation(refs, [refs[0], refs[1]], mixture=mixture)
         assert report.baseline_sdr is not None
         assert report.mean_improvement_db > 0.0
+
+    def test_silent_estimate_is_not_a_perfect_score(self):
+        rng = np.random.default_rng(12)
+        r, q = rng.standard_normal(1000), rng.standard_normal(1000)
+        report = metrics.align_permutation(
+            [r, q], [np.zeros(1000), r], taps=16, mixture=r + q
+        )
+        assert report.permutation == (1, 0)
+        assert report.per_source_sdr == [metrics.CAP_DB, -metrics.CAP_DB]
 
     def test_source_count_cap(self):
         with pytest.raises(ValueError):

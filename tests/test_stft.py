@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tilrma import stft
 from tilrma.errors import SignalTooShortError
 from tilrma.stft import ComplexSpectrogram, StftConfig, analyze, synthesize
 
@@ -85,7 +86,33 @@ class TestAnalyze:
         assert spec.values.shape == (CFG.num_bins, spec.num_frames, 3)
 
 
+def frame_loop_synthesize(spec):
+    """Overlap-add one frame at a time: the reference ``synthesize`` must
+    match bit for bit."""
+    cfg = spec.config
+    win_len, hop = cfg.window_samples, cfg.shift_samples
+    dual = stft._dual_window(stft._analysis_window(win_len), hop)
+    out = np.zeros((spec.num_samples, spec.num_streams))
+    for ch in range(spec.num_streams):
+        buf = np.zeros((spec.num_frames - 1) * hop + win_len)
+        pieces = np.fft.irfft(spec.values[:, :, ch].T, n=win_len, axis=1) * dual
+        for j in range(spec.num_frames):
+            buf[j * hop : j * hop + win_len] += pieces[j]
+        out[:, ch] = buf[win_len // 2 : win_len // 2 + spec.num_samples]
+    return out
+
+
 class TestSynthesize:
+    @pytest.mark.parametrize(
+        "window_ms, shift_ms, samples",
+        [(64, 16, 160000), (512, 128, 160000), (64, 32, 12345), (100, 25, 54321)],
+    )
+    def test_equals_frame_loop_bit_for_bit(self, window_ms, shift_ms, samples):
+        cfg = StftConfig(16000.0, window_ms, shift_ms)
+        rng = np.random.default_rng(samples)
+        spec = analyze(rng.standard_normal((samples, 3)), cfg)
+        assert np.array_equal(synthesize(spec), frame_loop_synthesize(spec))
+
     def test_zero_spectrogram(self):
         spec = analyze(np.zeros(3000), CFG)
         assert not synthesize(spec).any()
