@@ -75,6 +75,8 @@ class HyperParams:
         if self.schedule is not None:
             if not 0 < self.schedule.gaussian_iters < self.iterations:
                 raise ValueError("gaussian_iters must lie strictly inside the run length")
+            if self.schedule.refit_iters < 0:
+                raise ValueError("refit_iters must be nonnegative")
 
     def to_json(self):
         """The hyperparameters as a JSON-ready dict, with ``inf`` spelled as a string."""

@@ -1,12 +1,17 @@
 """Synthetic scene generation and numeric oracles for the optimization's
 provable properties.
 
+A scene is seeded low-rank sources mixed through one well-conditioned real
+matrix shared by every bin, with the observation the exact product; the
+acceptance suite and ``tilrma synthetic`` separate such scenes.
+
 The separation code substitutes all auxiliary variables analytically, so
 nothing in the production path ever materializes them.  This module keeps
 them observable: it evaluates the exact cost together with its two
-surrogate bounds at explicit auxiliary settings, so the touch conditions
-and the dominance chain that underpin the convergence guarantee can be
-checked numerically on random states.
+surrogate bounds (tangent-line and Jensen) at explicit auxiliary settings,
+so the touch conditions and the dominance chain that underpin the
+convergence guarantee can be checked numerically on random states, as
+``tilrma oracle`` does.
 """
 
 import math
@@ -28,9 +33,6 @@ class SyntheticScene:
     sources: np.ndarray           # (bins, frames, sources)
     mixing: np.ndarray            # (bins, channels, sources)
     observation: np.ndarray       # (bins, frames, channels)
-    seed: int
-    truth_basis: np.ndarray       # (sources, bins, rank)
-    truth_activation: np.ndarray  # (sources, rank, frames)
 
     @property
     def num_sources(self):
@@ -60,74 +62,37 @@ def gen_low_rank_source(num_bins, num_frames, rank, rng):
     return values, basis, activation
 
 
-def _well_conditioned(rng, shape, complex_entries):
+def _well_conditioned(rng, shape):
     for _ in range(1000):
         mat = rng.uniform(-1.0, 1.0, size=shape)
-        if complex_entries:
-            mat = mat + 1j * rng.uniform(-1.0, 1.0, size=shape)
         if np.linalg.cond(mat) <= MAX_MIXING_CONDITION:
             return mat
     raise RuntimeError("failed to draw a well-conditioned mixing matrix")
 
 
-def gen_mixture(sources, mixing_kind, seed, truth_basis=None, truth_activation=None):
-    """Mix per-bin source vectors through a random mixing system.
+def gen_mixture(sources, seed):
+    """Mix per-bin source vectors through one random real matrix shared by
+    every bin.
 
-    ``mixing_kind`` is "instantaneous" (one real matrix shared by every
-    bin) or "smooth" (per-bin matrices interpolated between two complex
-    endpoints, a stand-in for slowly varying convolutive mixing).  All
-    matrices are redrawn until their condition number is at most 100; the
+    The matrix is redrawn until its condition number is at most 100; the
     observation is the exact per-bin product, with no added noise.
     """
     sources = np.asarray(sources, dtype=np.complex128)
-    num_bins, num_frames, num_sources = sources.shape
+    num_bins, _, num_sources = sources.shape
     rng = np.random.default_rng(seed)
-    seed_record = int(seed) if isinstance(seed, (int, np.integer)) else -1
-    if mixing_kind == "instantaneous":
-        flat = _well_conditioned(rng, (num_sources, num_sources), complex_entries=False)
-        mixing = np.tile(flat.astype(np.complex128), (num_bins, 1, 1))
-    elif mixing_kind == "smooth":
-        for _ in range(1000):
-            lo = _well_conditioned(rng, (num_sources, num_sources), complex_entries=True)
-            hi = _well_conditioned(rng, (num_sources, num_sources), complex_entries=True)
-            tau = np.linspace(0.0, 1.0, num_bins)[:, None, None]
-            mixing = (1.0 - tau) * lo + tau * hi
-            if max(np.linalg.cond(mixing[i]) for i in range(num_bins)) <= MAX_MIXING_CONDITION:
-                break
-        else:
-            raise RuntimeError("failed to draw a well-conditioned mixing path")
-    else:
-        raise ValueError(f"unknown mixing kind: {mixing_kind!r}")
-
+    flat = _well_conditioned(rng, (num_sources, num_sources))
+    mixing = np.tile(flat.astype(np.complex128), (num_bins, 1, 1))
     observation = np.einsum("imn,ijn->ijm", mixing, sources)
-    if truth_basis is None:
-        truth_basis = np.zeros((num_sources, num_bins, 0))
-    if truth_activation is None:
-        truth_activation = np.zeros((num_sources, 0, num_frames))
-    return SyntheticScene(
-        sources,
-        mixing,
-        observation,
-        seed_record,
-        np.asarray(truth_basis),
-        np.asarray(truth_activation),
-    )
+    return SyntheticScene(sources, mixing, observation)
 
 
-def make_scene(seed, num_bins=129, num_frames=128, num_sources=2, rank=2,
-               mixing_kind="instantaneous"):
-    """Low-rank sources plus a random mixing system, all from one seed."""
+def make_scene(seed, num_bins=129, num_frames=128, num_sources=2, rank=2):
+    """Low-rank sources plus a random mixing matrix, all from one seed."""
     streams = np.random.SeedSequence(seed).spawn(num_sources + 1)
     sources = np.empty((num_bins, num_frames, num_sources), dtype=np.complex128)
-    basis = np.empty((num_sources, num_bins, rank))
-    activation = np.empty((num_sources, rank, num_frames))
     for n in range(num_sources):
-        sources[:, :, n], basis[n], activation[n] = gen_low_rank_source(
-            num_bins, num_frames, rank, streams[n]
-        )
-    scene = gen_mixture(sources, mixing_kind, streams[-1], basis, activation)
-    scene.seed = int(seed)
-    return scene
+        sources[:, :, n] = gen_low_rank_source(num_bins, num_frames, rank, streams[n])[0]
+    return gen_mixture(sources, streams[-1])
 
 
 def make_fixed_point_scene(seed, num_bins=129, num_frames=128, num_sources=2):
@@ -139,17 +104,13 @@ def make_fixed_point_scene(seed, num_bins=129, num_frames=128, num_sources=2):
     """
     streams = np.random.SeedSequence(seed).spawn(num_sources + 1)
     sources = np.empty((num_bins, num_frames, num_sources), dtype=np.complex128)
-    basis = np.empty((num_sources, num_bins, 1))
-    activation = np.empty((num_sources, 1, num_frames))
     for n in range(num_sources):
         rng = np.random.default_rng(streams[n])
-        basis[n] = 0.1 + rng.random((num_bins, 1))
-        activation[n] = 0.1 + rng.random((1, num_frames))
+        basis = 0.1 + rng.random((num_bins, 1))
+        activation = 0.1 + rng.random((1, num_frames))
         phase = np.exp(2j * np.pi * rng.random((num_bins, num_frames)))
-        sources[:, :, n] = np.sqrt(basis[n] @ activation[n]) * phase
-    scene = gen_mixture(sources, "instantaneous", streams[-1], basis, activation)
-    scene.seed = int(seed)
-    return scene
+        sources[:, :, n] = np.sqrt(basis @ activation) * phase
+    return gen_mixture(sources, streams[-1])
 
 
 def scene_config(scene, sample_rate_hz=16000.0):
@@ -171,31 +132,6 @@ def scene_spectrogram(scene, cfg=None):
 def truth_image(scene, n):
     """Multichannel spectrogram image of ground-truth source n."""
     return scene.sources[:, :, n, None] * scene.mixing[:, None, :, n]
-
-
-def save_scene(path, scene):
-    """Serialize losslessly to an .npz container."""
-    np.savez(
-        path,
-        sources=scene.sources,
-        mixing=scene.mixing,
-        observation=scene.observation,
-        seed=np.int64(scene.seed),
-        truth_basis=scene.truth_basis,
-        truth_activation=scene.truth_activation,
-    )
-
-
-def load_scene(path):
-    with np.load(path) as data:
-        return SyntheticScene(
-            data["sources"],
-            data["mixing"],
-            data["observation"],
-            int(data["seed"]),
-            data["truth_basis"],
-            data["truth_activation"],
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +201,12 @@ def optimal_auxiliaries(power, factors, nu):
     return alpha, beta, gamma
 
 
-def majorizer_tangent(demixing, power, factors, nu, alpha, beta):
-    """Surrogate obtained by tangent-line bounds on both log terms."""
+def _surrogate(demixing, power, factors, nu, alpha, beta, bound):
+    """The body both surrogates share.
+
+    ``bound(n, fac, model, scaled)`` returns the surrogate's bound on
+    scaled * sigma^-2 for source n, where scaled = (2/nu) |y|^2.
+    """
     if math.isinf(nu):
         raise ValueError("the surrogate bounds are defined for finite nu")
     num_frames = power.shape[2]
@@ -275,8 +215,7 @@ def majorizer_tangent(demixing, power, factors, nu, alpha, beta):
     for n, fac in enumerate(factors):
         p = fac.p
         model = fac.basis @ fac.activation
-        sig_sq = model ** (2.0 / p)
-        inner = 1.0 + (2.0 / nu) * power[n] / sig_sq
+        inner = 1.0 + bound(n, fac, model, (2.0 / nu) * power[n])
         a = alpha[:, :, n]
         b = beta[:, :, n]
         total += float(
@@ -287,32 +226,24 @@ def majorizer_tangent(demixing, power, factors, nu, alpha, beta):
             )
         )
     return total
+
+
+def majorizer_tangent(demixing, power, factors, nu, alpha, beta):
+    """Surrogate obtained by tangent-line bounds on both log terms."""
+    def bound(n, fac, model, scaled):
+        return scaled / model ** (2.0 / fac.p)
+
+    return _surrogate(demixing, power, factors, nu, alpha, beta, bound)
 
 
 def majorizer_jensen(demixing, power, factors, nu, alpha, beta, gamma):
     """Surrogate with the coupled sigma^-2 term additionally split by Jensen."""
-    if math.isinf(nu):
-        raise ValueError("the surrogate bounds are defined for finite nu")
-    num_frames = power.shape[2]
-    total = _det_term(demixing, num_frames)
-    half = 1.0 + nu / 2.0
-    for n, fac in enumerate(factors):
-        p = fac.p
-        e = 2.0 / p
-        model = fac.basis @ fac.activation
+    def bound(n, fac, model, scaled):
+        e = 2.0 / fac.p
         tv = fac.basis[:, None, :] * fac.activation.T[None, :, :]  # (bins, frames, rank)
-        split = np.sum(gamma[:, :, n, :] ** (e + 1.0) * tv ** (-e), axis=2)
-        inner = 1.0 + (2.0 / nu) * power[n] * split
-        a = alpha[:, :, n]
-        b = beta[:, :, n]
-        total += float(
-            np.sum(
-                half * ((inner - a) / a + np.log(a))
-                + 2.0 / (p * b) * (model - b)
-                + (2.0 / p) * np.log(b)
-            )
-        )
-    return total
+        return scaled * np.sum(gamma[:, :, n, :] ** (e + 1.0) * tv ** (-e), axis=2)
+
+    return _surrogate(demixing, power, factors, nu, alpha, beta, bound)
 
 
 @dataclass
@@ -378,17 +309,18 @@ def check_majorizer_touch(seed, nu, p, num_bins=4, num_frames=5, num_sources=2, 
     )
 
 
-def run_oracle_suite(seed=0, tangent_samples=10000, jensen_samples=10000, touch_states=100):
-    """Fuzz the inequalities and touch conditions; returns a summary dict."""
+def run_oracle_suite(seed=0, samples=10000, touch_states=100):
+    """Fuzz each inequality ``samples`` times and the touch conditions on
+    ``touch_states`` random states; returns a summary dict."""
     rng = np.random.default_rng(seed)
     tangent_fail = 0
-    for _ in range(tangent_samples):
+    for _ in range(samples):
         z = rng.random(int(rng.integers(1, 6))) * 10.0 ** rng.uniform(-3, 3)
         lam = float(rng.random() * 10.0 ** rng.uniform(-3, 3))
         _, _, ok = check_tangent_inequality(z, lam)
         tangent_fail += 0 if ok else 1
     jensen_fail = 0
-    for _ in range(jensen_samples):
+    for _ in range(samples):
         z = rng.random(int(rng.integers(1, 6))) * 10.0 ** rng.uniform(-3, 3)
         mu = rng.random(z.shape[0]) + 1e-3
         mu /= mu.sum()
@@ -403,9 +335,9 @@ def run_oracle_suite(seed=0, tangent_samples=10000, jensen_samples=10000, touch_
         if not (report.touch_ok and report.dominance_ok):
             touch_fail += 1
     return {
-        "tangent_samples": tangent_samples,
+        "tangent_samples": samples,
         "tangent_violations": tangent_fail,
-        "jensen_samples": jensen_samples,
+        "jensen_samples": samples,
         "jensen_violations": jensen_fail,
         "touch_states": touch_states,
         "touch_failures": touch_fail,

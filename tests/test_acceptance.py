@@ -138,9 +138,7 @@ def test_criterion_2_gaussian_limit_equivalence():
 
 
 def test_criterion_3_majorizer_oracle_suite():
-    out = synthetic.run_oracle_suite(
-        seed=0, tangent_samples=10000, jensen_samples=10000, touch_states=100
-    )
+    out = synthetic.run_oracle_suite(seed=0, samples=10000, touch_states=100)
     report(
         3,
         "tangent/Jensen fuzz and surrogate touch conditions",

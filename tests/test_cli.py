@@ -1,10 +1,11 @@
 import json
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from tilrma import cli, wavio
+from tilrma import cli, engine, wavio
 
 
 @pytest.fixture
@@ -164,8 +165,7 @@ class TestSeparate:
 
 class TestSynthetic:
     def test_monotonic_check_passes(self, capsys):
-        code = cli.main(["synthetic", "--seeds", "2", "--iters", "25", "--check",
-                         "monotonic", "--seed", "0"])
+        code = cli.main(["synthetic", "--seeds", "2", "--iters", "25", "--seed", "0"])
         out = capsys.readouterr().out
         assert code == 0
         assert "2/2 seeds passed" in out
@@ -174,6 +174,20 @@ class TestSynthetic:
         code = cli.main(["synthetic", "--seeds", "1", "--iters", "10"])
         assert code == 0
         assert "1/1 seeds passed" in capsys.readouterr().out
+
+    def test_failures_are_reported(self, monkeypatch, capsys):
+        def broken(spec, hyper):
+            # a rising cost trace, and images that sum to zero instead of the input
+            silent = SimpleNamespace(values=np.zeros_like(spec.values))
+            return SimpleNamespace(cost_trace=np.array([1.0, 2.0]), images=[silent, silent])
+
+        monkeypatch.setattr(engine, "separate", broken)
+        code = cli.main(["synthetic", "--seeds", "2", "--seed", "0"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert re.search(r"^seed 0: FAIL \(cost increased; completeness gap \d\.\d\de\+\d\d\)$",
+                         out, re.M)
+        assert "0/2 seeds passed" in out
 
 
 class TestOracle:
@@ -202,3 +216,19 @@ class TestUsage:
         parser = cli.build_parser()
         args = parser.parse_args(["synthetic"])
         assert args.seed == 77
+
+    def test_bad_seed_env_is_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("TILRMA_SEED", "abc")
+        with pytest.raises(SystemExit) as info:
+            cli.main(["oracle"])
+        assert info.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--stage1-iters", "--refit-iters"])
+    def test_schedule_flag_needs_two_stage(self, mixture_fixture, tmp_path, capsys, flag):
+        mix_path, _ = mixture_fixture
+        with pytest.raises(SystemExit) as info:
+            cli.main(["separate", str(mix_path), flag, "50", "--iters", "2",
+                      "--out", str(tmp_path / "out")] + SMALL_STFT)
+        assert info.value.code == 2
+        assert "--two-stage" in capsys.readouterr().err

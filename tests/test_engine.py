@@ -79,6 +79,11 @@ class TestHyperParams:
             HyperParams(nu=5.0, p=1.0, num_bases=2, iterations=100,
                         schedule=TwoStageSchedule(gaussian_iters=100))
 
+    def test_refit_iters_must_be_nonnegative(self):
+        with pytest.raises(ValueError, match="refit_iters"):
+            HyperParams(nu=5.0, p=1.0, num_bases=2, iterations=10,
+                        schedule=TwoStageSchedule(5, -3))
+
 
 class TestLogAbsDet:
     def test_identity_is_zero(self):

@@ -1,16 +1,26 @@
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 
-from tilrma import wavio
+from tilrma import cli, wavio
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def library_use_block():
-    section = README.read_text().split("## Library use", 1)[1]
-    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+def code_block(heading, language):
+    section = README.read_text().split(f"## {heading}", 1)[1]
+    return re.search(rf"```{language}\n(.*?)```", section, re.S).group(1)
+
+
+def test_command_line_examples_parse():
+    commands = [shlex.split(line)[1:] for line in code_block("Command line", "bash").splitlines()
+                if line.startswith("tilrma ")]
+    assert len(commands) >= 6
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
 
 
 def test_library_use_example_runs(tmp_path, monkeypatch):
@@ -25,7 +35,7 @@ def test_library_use_example_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
 
     namespace = {}
-    exec(compile(library_use_block(), str(README), "exec"), namespace)
+    exec(compile(code_block("Library use", "python"), str(README), "exec"), namespace)
 
     result = namespace["result"]
     assert result.cost_trace.size == 200
