@@ -176,6 +176,7 @@ def cmd_separate(args):
         "events": result.metadata["events"],
         "timings": {
             "engine_seconds": result.metadata["elapsed_seconds"],
+            "workers": result.metadata["workers"],
             "total_seconds": time.perf_counter() - started,
         },
     }

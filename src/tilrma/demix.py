@@ -106,7 +106,7 @@ def outer_products(obs):
     return stats
 
 
-def weighted_covariance(stats, power, sigma_sq, nu):
+def weighted_covariance(stats, power, sigma_sq, nu, scratch=None):
     """Weighted sample covariances of one source in every bin.
 
     U_i = (1 + 2/nu)/J sum_j weight_ij x_ij x_ij^H, formed as one real
@@ -123,6 +123,8 @@ def weighted_covariance(stats, power, sigma_sq, nu):
         Squared scale of this source.
     nu: float
         Degrees of freedom; ``inf`` gives (1/J) sum x x^H / sigma^2 exactly.
+    scratch: ndarray (bins, frames), optional
+        Plane for the weights, in place of a fresh one.
 
     Returns
     -------
@@ -131,7 +133,7 @@ def weighted_covariance(stats, power, sigma_sq, nu):
     # sigma_sq > 0 is a caller contract.  The source model floors sigma^p
     # where it produces it; after ``normalize`` a floored slot holds
     # eta^-p times the floor, so sigma_sq may sit below FLOOR.
-    w = _t_weight(sigma_sq, power, nu)
+    w = _t_weight(sigma_sq, power, nu, out=scratch)
     coords = (w[:, None, :] @ stats)[:, 0, :]
     coords *= (1.0 + 2.0 / nu) / stats.shape[1]
     m = math.isqrt(stats.shape[2])

@@ -12,10 +12,27 @@ is a majorization-minimization step conditioned on a freshly touched
 surrogate, so the cost recorded after every iteration never increases within
 a stage.  All of it sees y = W x only through the real power |y|^2 that the
 run state carries; y exists only in the power refresh and the back-projection.
+
+Work that is independent across sources or bins runs on a thread pool with
+one thread per CPU the process may use, at most MAX_WORKERS (numpy releases
+the interpreter lock inside its array loops and BLAS calls).  A sweep's
+weighted covariances run a source and a block of bins per task (the row
+solves that use them stay sequential), and the power refresh a block of
+bins per task.  Each source's
+factor updates, its cost term (summed in source order), its domain refit at
+the stage boundary and its head-residual covariance in ``_finalize`` run one
+task per source.  Every task does the same arithmetic in the same order as a
+serial run and writes only its own slice of the run state and its own work
+planes, so the output is byte-identical for any thread count.  With one CPU
+the tasks run inline.
 """
 
+import contextlib
+import itertools
 import math
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +52,10 @@ from .stft import ComplexSpectrogram
 
 # Relative eigenvalue below which the channel Gram counts as rank-deficient.
 RANK_TOLERANCE = 1e-12
+
+# Most workers a run uses, the calling thread included: the largest count at
+# which separation time and peak memory have been measured.
+MAX_WORKERS = 2
 
 
 @dataclass(frozen=True)
@@ -105,6 +126,12 @@ class RunState:
     power: np.ndarray      # (sources, bins, frames), |y|^2 with y_ij = W_i x_ij
     factors: list          # per-source NmfFactors
     sigma_p: np.ndarray    # (sources, bins, frames)
+    # (sources, 2, bins, frames): two work planes per source for its pooled
+    # tasks; together they hold exactly one complex value per bin, frame and
+    # source, which the power refresh uses for y
+    work: np.ndarray
+    pool: ThreadPoolExecutor | None = None  # None: tasks run inline
+    workers: int = 1
     cost_trace: list = field(default_factory=list)
     events: list = field(default_factory=list)
 
@@ -136,6 +163,34 @@ def log_abs_det(demixing):
     return logdet
 
 
+def _determinant_term(demixing, num_frames):
+    return -2.0 * num_frames * float(np.sum(log_abs_det(demixing)))
+
+
+def _source_cost(power, sigma_p, nu, p, scratch):
+    """Data term of one source, summed over its bins and frames.
+
+    It is formed in the two (bins, frames) planes of ``scratch``, in the
+    order of operations the formulas of ``cost_value`` spell out.
+    """
+    a, b = scratch
+    if math.isinf(nu):
+        # log r + |y|^2 / r
+        np.log(sigma_p, out=a)
+        a += np.divide(power, sigma_p, out=b)
+        return float(np.sum(a))
+    # (1 + nu/2) log(1 + (2/nu) |y|^2 / sigma^2) + (2/p) log sigma^p
+    sig_sq = sigma_squared(sigma_p, p, out=a)
+    np.multiply(2.0 / nu, power, out=b)
+    b /= sig_sq
+    np.log1p(b, out=b)
+    b *= 1.0 + nu / 2.0
+    np.log(sigma_p, out=a)
+    a *= 2.0 / p
+    b += a
+    return float(np.sum(b))
+
+
 def cost_value(demixing, power, sigma_p, nu, p):
     """Negative log-likelihood with additive constants dropped.
 
@@ -144,23 +199,71 @@ def cost_value(demixing, power, sigma_p, nu, p):
     Otherwise: sum((1 + nu/2) log(1 + (2/nu) |y|^2 / sigma^2) + (2/p) log sigma^p)
     minus the same determinant term.
     """
-    total = -2.0 * power.shape[2] * float(np.sum(log_abs_det(demixing)))
+    total = _determinant_term(demixing, power.shape[2])
+    scratch = np.empty((2,) + power.shape[1:])
     for pw, sp in zip(power, sigma_p):
-        if math.isinf(nu):
-            total += float(np.sum(np.log(sp) + pw / sp))
-        else:
-            total += float(
-                np.sum(
-                    (1.0 + nu / 2.0) * np.log1p((2.0 / nu) * pw / sigma_squared(sp, p))
-                    + (2.0 / p) * np.log(sp)
-                )
-            )
+        total += _source_cost(pw, sp, nu, p, scratch)
     return total
 
 
 def cost(state, nu, p):
-    """Cost of a run state (see ``cost_value``)."""
-    return cost_value(state.demixing, state.power, state.sigma_p, nu, p)
+    """Cost of a run state, summed as ``cost_value`` sums it, with the source terms pooled."""
+
+    def term(n):
+        return _source_cost(state.power[n], state.sigma_p[n], nu, p, state.work[n])
+
+    total = _determinant_term(state.demixing, state.power.shape[2])
+    for value in _run(state, term, _sources(state)):
+        total += value
+    return total
+
+
+def _worker_count():
+    """Workers of a run, the calling thread included: the CPUs in this process's
+    affinity mask, at most MAX_WORKERS."""
+    return min(len(os.sched_getaffinity(0)), MAX_WORKERS)
+
+
+def _run(state, task, items):
+    """``[task(item) for item in items]``, shared by the calling thread and the pool.
+
+    Each thread claims the next unclaimed item until none is left, so a
+    thread that is slow to wake or to run leaves its share to the others.
+    Every task finishes before the first failure, in item order, is raised,
+    so no task still writes into the run state when the caller sees it.
+    """
+    items = list(items)
+    if state.pool is None:
+        return [task(item) for item in items]
+    outcomes = [None] * len(items)
+    claims = itertools.count()  # next() runs under the interpreter lock: one claim per item
+
+    def drain():
+        while (k := next(claims)) < len(items):
+            try:
+                outcomes[k] = task(items[k]), None
+            except Exception as exc:  # raised below, in item order
+                outcomes[k] = None, exc
+
+    helpers = [state.pool.submit(drain) for _ in range(state.workers - 1)]
+    drain()
+    wait(helpers)
+    for helper in helpers:
+        helper.result()
+    for _, exc in outcomes:
+        if exc is not None:
+            raise exc
+    return [value for value, _ in outcomes]
+
+
+def _sources(state):
+    return range(len(state.factors))
+
+
+def _bin_blocks(num_bins, parts):
+    """``parts`` contiguous slices of the bins, of sizes within one of each other."""
+    edges = [num_bins * k // parts for k in range(parts + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:]) if b > a]
 
 
 def _demixed(state):
@@ -169,24 +272,49 @@ def _demixed(state):
 
 
 def _refresh_power(state):
-    state.power[...] = np.moveaxis(np.abs(_demixed(state)) ** 2, 2, 0)
+    """Set ``state.power`` to |W_i x_ij|^2, a block of bins per task.
+
+    y is formed in the work planes, viewed as one complex
+    (bins, frames, sources) array, so the refresh allocates nothing.
+    """
+    y = state.work.reshape(-1).view(np.complex128).reshape(state.obs.shape)
+    power = np.moveaxis(state.power, 0, 2)
+
+    def refresh(bins):
+        np.matmul(state.obs[bins], state.demixing[bins].transpose(0, 2, 1), out=y[bins])
+        np.absolute(y[bins], out=power[bins])
+        np.square(power[bins], out=power[bins])
+
+    _run(state, refresh, _bin_blocks(state.obs.shape[0], state.workers))
 
 
-def _covariance(state, n, nu, p):
-    """Weighted covariances of source n in every bin, (bins, M, M)."""
-    return demix.weighted_covariance(
-        state.stats, state.power[n], sigma_squared(state.sigma_p[n], p), nu
-    )
+def _covariance(state, n, nu, p, bins=slice(None)):
+    """Weighted covariances of source n in the given bins, (bins, M, M), via its work planes."""
+    work = state.work[n, :, bins]
+    sig_sq = sigma_squared(state.sigma_p[n, bins], p, out=work[0])
+    return demix.weighted_covariance(state.stats[bins], state.power[n, bins], sig_sq, nu,
+                                     scratch=work[1])
 
 
 def _ip_sweep(state, nu, p, iteration):
     """Update rows n = 0..M-1 of W in turn, each across all bins at once.
 
     Bins are independent, so every bin sees the same sequence of row
-    updates as a sweep over that bin alone.
+    updates as a sweep over that bin alone.  Source n's covariances depend
+    on |y_n|^2 and its scale, which the sweep does not change, so all of
+    them are formed up front, on the pool: a source and a block of bins
+    per task, which keeps the threads evenly loaded when the sources do
+    not divide among them.
     """
-    for n in range(state.demixing.shape[1]):
-        cov = _covariance(state, n, nu, p)
+    covs = np.empty((len(state.factors),) + state.demixing.shape, dtype=np.complex128)
+
+    def covariance(task):
+        n, bins = task
+        covs[n, bins] = _covariance(state, n, nu, p, bins)
+
+    blocks = _bin_blocks(state.obs.shape[0], state.workers)
+    _run(state, covariance, [(n, bins) for n in _sources(state) for bins in blocks])
+    for n, cov in enumerate(covs):
         w, singular = demix.ip_update(state.demixing, cov, n)
         if singular.any():
             w[singular] = _ridge_retry(state, cov, n, np.flatnonzero(singular), iteration)
@@ -211,12 +339,34 @@ def _ridge_retry(state, cov, n, bins, iteration):
 
 def _update_sources(state, nu):
     """Basis then activation update of every source, each followed by a scale refresh."""
-    for n, factors in enumerate(state.factors):
-        factors = update_bases(factors, state.power[n], state.sigma_p[n], nu)
-        state.sigma_p[n] = recompute_scale(factors)
-        factors = update_activations(factors, state.power[n], state.sigma_p[n], nu)
-        state.sigma_p[n] = recompute_scale(factors)
+
+    def update(n):
+        power, sigma_p, work = state.power[n], state.sigma_p[n], state.work[n]
+        factors = update_bases(state.factors[n], power, sigma_p, nu, work)
+        recompute_scale(factors, out=sigma_p)
+        factors = update_activations(factors, power, sigma_p, nu, work)
+        recompute_scale(factors, out=sigma_p)
         state.factors[n] = factors
+
+    _run(state, update, _sources(state))
+
+
+def _switch_domain(state, p, refit_iters):
+    """Convert every source's scale model to exponent p, refitting its factors.
+
+    A refit keeps the converted tensor besides its two work planes; that
+    plane is allocated here, on the calling thread, whose heap the rest of
+    the run reuses, and not in a pool thread's own heap.
+    """
+    targets = np.empty_like(state.sigma_p)
+
+    def refit(n):
+        sigma_p = state.sigma_p[n]
+        state.factors[n], _ = convert_domain(state.factors[n], sigma_p, p, refit_iters,
+                                             scratch=(targets[n], *state.work[n]),
+                                             out=sigma_p)
+
+    _run(state, refit, _sources(state))
 
 
 def _iterate(state, nu, p, iterations, start_iteration=0):
@@ -231,7 +381,7 @@ def _iterate(state, nu, p, iterations, start_iteration=0):
             raise type(exc)(f"iteration {start_iteration + k}: {exc}") from exc
 
 
-def _init_state(spec, hp, p, initial_factors=None):
+def _init_state(spec, hp, p, initial_factors=None, pool=None, workers=1):
     values = np.ascontiguousarray(spec.values, dtype=np.complex128)
     num_bins, num_frames, num_sources = values.shape
     demixing = np.tile(np.eye(num_sources, dtype=np.complex128), (num_bins, 1, 1))
@@ -253,6 +403,9 @@ def _init_state(spec, hp, p, initial_factors=None):
         power=np.empty((num_sources, num_bins, num_frames)),
         factors=factors,
         sigma_p=np.stack([recompute_scale(f) for f in factors]),
+        work=np.empty((num_sources, 2, num_bins, num_frames)),
+        pool=pool,
+        workers=workers,
     )
     _refresh_power(state)
     return state
@@ -312,13 +465,13 @@ def _check_initial_factors(initial_factors, shape, num_bases, p):
 
 
 def _finalize(state, spec, hp, started, stage_boundary):
-    # the covariances, the power, the scales and the outer products are all
-    # released before the images exist
-    head_residual = max(
-        demix.head_residual(state.demixing, _covariance(state, n, hp.nu, hp.p), n)
-        for n in range(len(state.factors))
-    )
-    state.power = state.stats = state.sigma_p = None
+    # the covariances, the power, the scales, the outer products and the work
+    # planes are all released before the images exist
+    def residual(n):
+        return demix.head_residual(state.demixing, _covariance(state, n, hp.nu, hp.p), n)
+
+    head_residual = max(_run(state, residual, _sources(state)))
+    state.power = state.stats = state.sigma_p = state.work = None
     y = _demixed(state)
     images = [
         ComplexSpectrogram(
@@ -333,6 +486,7 @@ def _finalize(state, spec, hp, started, stage_boundary):
         "stage_boundary": stage_boundary,
         "events": list(state.events),
         "head_residual": head_residual,
+        "workers": state.workers,
         "elapsed_seconds": time.perf_counter() - started,
     }
     return SeparationResult(
@@ -381,16 +535,16 @@ def separate(spec, hp, initial_factors=None):
     _check_channel_rank(spec.values)
     sched = hp.schedule
     boundary = 0 if sched is None else sched.gaussian_iters
-    state = _init_state(spec, hp, hp.p if sched is None else 2.0, initial_factors)
-    if sched is not None:
-        _iterate(state, math.inf, 2.0, boundary)
-        for n, factors in enumerate(state.factors):
-            converted, _ = convert_domain(
-                factors, state.sigma_p[n], hp.p, refit_iters=sched.refit_iters
-            )
-            if converted is not factors:
-                state.factors[n] = converted
-                state.sigma_p[n] = recompute_scale(converted)
-        state.events.append({"kind": "stage_boundary", "iteration": boundary})
-    _iterate(state, hp.nu, hp.p, hp.iterations - boundary, start_iteration=boundary)
-    return _finalize(state, spec, hp, started, stage_boundary=boundary or None)
+    workers = _worker_count()
+    # the calling thread is one of the workers; leaving the block joins the
+    # others, however the run ends
+    with (ThreadPoolExecutor(workers - 1, thread_name_prefix="tilrma") if workers > 1
+          else contextlib.nullcontext()) as pool:
+        state = _init_state(spec, hp, hp.p if sched is None else 2.0, initial_factors,
+                            pool=pool, workers=workers)
+        if sched is not None:
+            _iterate(state, math.inf, 2.0, boundary)
+            _switch_domain(state, hp.p, sched.refit_iters)
+            state.events.append({"kind": "stage_boundary", "iteration": boundary})
+        _iterate(state, hp.nu, hp.p, hp.iterations - boundary, start_iteration=boundary)
+        return _finalize(state, spec, hp, started, stage_boundary=boundary or None)

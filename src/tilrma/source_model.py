@@ -64,34 +64,53 @@ def init_factors(num_bins, num_frames, num_bases, seed, p=2.0):
     return NmfFactors(basis, activation, p)
 
 
-def recompute_scale(factors):
-    """sigma^p tensor (bins x frames) for one source, floored."""
-    return np.maximum(factors.basis @ factors.activation, scale_floor(factors.p))
+def recompute_scale(factors, out=None):
+    """sigma^p tensor (bins x frames) for one source, floored; written to ``out`` if given."""
+    scale = np.matmul(factors.basis, factors.activation, out=out)
+    return np.maximum(scale, scale_floor(factors.p), out=scale)
 
 
-def sigma_squared(sigma_p, p):
-    """sigma^2 from the stored sigma^p tensor."""
+def sigma_squared(sigma_p, p, out=None):
+    """sigma^2 from the stored sigma^p tensor; ``sigma_p`` itself at p=2, else in ``out``."""
     if p == 2.0:
         return sigma_p
-    return sigma_p ** (2.0 / p)
+    return np.power(sigma_p, 2.0 / p, out=out)
 
 
-def _t_weight(sig_sq, power, nu):
-    """1 / (sigma^2 + (2/nu) |y|^2), the MM weight of the t model; 1/sigma^2 at nu=inf."""
-    # in place: the Gaussian updates run this too, so each pass is one fewer allocation
-    weight = (2.0 / nu) * power
+def _t_weight(sig_sq, power, nu, out=None):
+    """1 / (sigma^2 + (2/nu) |y|^2), the MM weight of the t model; 1/sigma^2 at nu=inf.
+
+    ``out`` may be ``sig_sq`` only at nu=inf.
+    """
+    if math.isinf(nu):
+        # the general form adds 0 * |y|^2 = +0 to sigma^2, which changes no bit
+        # for finite |y|^2 >= 0: skipping it saves two full-size passes
+        return np.reciprocal(sig_sq, out=out)
+    weight = np.multiply(2.0 / nu, power, out=out)
     weight += sig_sq
     return np.reciprocal(weight, out=weight)
 
 
-def _inv_weight(sigma_p, power, p, nu):
-    # 1 / (nu/(nu+2) sigma^2 + 2/(nu+2) |y|^2)
-    weight = _t_weight(sigma_squared(sigma_p, p), power, nu)
-    weight *= 1.0 + 2.0 / nu
-    return weight
+def _weighted_power(power, sigma_p, p, nu, scratch):
+    """|y|^2 (1 + 2/nu) / (sigma^2 + (2/nu) |y|^2) / sigma^p, in ``scratch[-1]``.
+
+    This is the plane an MM factor update takes its numerator from.
+    ``scratch`` is two (bins, frames) planes, or one where nu is inf or p is
+    2: then sigma^2 and the weight share a plane or sigma^2 needs none.
+    """
+    sig_sq = sigma_squared(sigma_p, p, out=scratch[0])
+    weighted = _t_weight(sig_sq, power, nu, out=scratch[-1])
+    if not math.isinf(nu):  # the factor is exactly 1 at nu=inf
+        weighted *= 1.0 + 2.0 / nu
+    np.multiply(power, weighted, out=weighted)
+    return np.divide(weighted, sigma_p, out=weighted)
 
 
-def update_bases(factors, power, sigma_p, nu):
+def _scratch(scratch, like):
+    return np.empty((2,) + like.shape) if scratch is None else scratch
+
+
+def update_bases(factors, power, sigma_p, nu, scratch=None):
     """One multiplicative basis update for a single source.
 
     Parameters
@@ -105,28 +124,32 @@ def update_bases(factors, power, sigma_p, nu):
         which scales floored slots along with the rest.
     nu: float
         Degrees of freedom; ``inf`` selects the Gaussian rule.
+    scratch: ndarray (2, bins, frames), optional
+        Work planes, in place of fresh ones; see ``_weighted_power``.
 
     Returns
     -------
     NmfFactors with the updated basis (activation shared, not copied).
     """
     p = factors.p
-    ratio_num = (power * _inv_weight(sigma_p, power, p, nu) / sigma_p) @ factors.activation.T
-    ratio_den = (1.0 / sigma_p) @ factors.activation.T
+    scratch = _scratch(scratch, power)
+    ratio_num = _weighted_power(power, sigma_p, p, nu, scratch) @ factors.activation.T
+    ratio_den = np.divide(1.0, sigma_p, out=scratch[0]) @ factors.activation.T
     basis = factors.basis * (ratio_num / ratio_den) ** (p / (p + 2.0))
     return NmfFactors(np.maximum(basis, FLOOR), factors.activation, p)
 
 
-def update_activations(factors, power, sigma_p, nu):
+def update_activations(factors, power, sigma_p, nu, scratch=None):
     """Mirror of ``update_bases`` with the bin and frame roles swapped."""
     p = factors.p
-    ratio_num = factors.basis.T @ (power * _inv_weight(sigma_p, power, p, nu) / sigma_p)
-    ratio_den = factors.basis.T @ (1.0 / sigma_p)
+    scratch = _scratch(scratch, power)
+    ratio_num = factors.basis.T @ _weighted_power(power, sigma_p, p, nu, scratch)
+    ratio_den = factors.basis.T @ np.divide(1.0, sigma_p, out=scratch[0])
     activation = factors.activation * (ratio_num / ratio_den) ** (p / (p + 2.0))
     return NmfFactors(factors.basis, np.maximum(activation, FLOOR), p)
 
 
-def convert_domain(factors, sigma_p, new_p, refit_iters=10):
+def convert_domain(factors, sigma_p, new_p, refit_iters=10, scratch=None, out=None):
     """Re-express the scale model in a new domain exponent.
 
     The scale tensor converts exactly, ``sigma^new_p = (sigma^p)^(new_p/p)``.
@@ -135,6 +158,16 @@ def convert_domain(factors, sigma_p, new_p, refit_iters=10):
     ``refit_iters`` multiplicative rounds of ``update_bases``/``update_activations``
     in the Gaussian limit, with ``target^(2/new_p)`` as the power they fit (so
     the refit objective is minimized exactly where the model meets the target).
+
+    Parameters
+    ----------
+    scratch: sequence of three (bins, frames) planes, optional
+        Planes for the converted tensor (returned), the refit's power and
+        its update temporaries, in place of fresh ones.
+    out: ndarray (bins, frames), optional
+        When the exponent changes, receives the refit scale, which is
+        ``recompute_scale`` of the returned factors.  It may be ``sigma_p``
+        itself: the target is taken from it first.
 
     Returns
     -------
@@ -146,19 +179,23 @@ def convert_domain(factors, sigma_p, new_p, refit_iters=10):
         return factors, sigma_p
 
     exponent = new_p / factors.p
-    target = np.maximum(sigma_p, scale_floor(factors.p)) ** exponent
-    out = NmfFactors(
+    if scratch is None:
+        scratch = np.empty((3,) + sigma_p.shape)
+    target = np.maximum(sigma_p, scale_floor(factors.p), out=scratch[0])
+    target **= exponent
+    refit = NmfFactors(
         np.maximum(factors.basis**exponent, FLOOR),
         np.maximum(factors.activation**exponent, FLOOR),
         new_p,
     )
     # power = target^(2/new_p) makes the fixed point sit at T @ V = target;
-    # nu=inf keeps the refit free of the dof parameter
-    power = target ** (2.0 / new_p)
-    scale = recompute_scale(out)
+    # nu=inf keeps the refit free of the dof parameter, and its updates to
+    # one work plane
+    power = sigma_squared(target, new_p, out=scratch[1])
+    scale = recompute_scale(refit, out=out)
     for _ in range(refit_iters):
-        out = update_bases(out, power, scale, math.inf)
-        scale = recompute_scale(out)
-        out = update_activations(out, power, scale, math.inf)
-        scale = recompute_scale(out)
-    return out, target
+        refit = update_bases(refit, power, scale, math.inf, scratch[2:])
+        recompute_scale(refit, out=scale)
+        refit = update_activations(refit, power, scale, math.inf, scratch[2:])
+        recompute_scale(refit, out=scale)
+    return refit, target

@@ -34,7 +34,8 @@ SMALL_STFT = ["--window-ms", "64", "--shift-ms", "16"]
 
 
 class TestSeparate:
-    def test_smoke_gaussian(self, mixture_fixture, tmp_path, capsys):
+    def test_smoke_gaussian(self, mixture_fixture, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(engine, "_worker_count", lambda: 3)
         mix_path, _ = mixture_fixture
         out = tmp_path / "out"
         code = cli.main(
@@ -50,6 +51,7 @@ class TestSeparate:
         assert report["hyperparams"]["seed"] == 1
         assert len(report["cost_trace"]) == 4
         assert report["stage_boundary"] is None
+        assert report["timings"]["workers"] == 3
         samples, rate = wavio.read_wav(out / "source_1.wav")
         assert rate == 8000.0
         assert samples.shape[1] == 2  # sources are emitted as multichannel images

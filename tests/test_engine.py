@@ -1,4 +1,9 @@
 import math
+import sys
+import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -427,3 +432,113 @@ class TestTwoStage:
         res_single = engine.separate(spec, HyperParams(nu=3.0, p=1.0, num_bases=2,
                                                        iterations=10, seed=0))
         assert res_single.metadata["stage_boundary"] is None
+
+
+def separate_on(monkeypatch, workers, spec, hp):
+    """``engine.separate`` with its pool forced to ``workers`` threads.
+
+    Pooled runs switch threads every microsecond, so tasks interleave as
+    finely as they can.
+    """
+    monkeypatch.setattr(engine, "_worker_count", lambda: workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6 if workers > 1 else interval)
+    try:
+        return engine.separate(spec, hp)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+POOL_CASES = {
+    "t-3-sources": (dict(seed=3, num_sources=3), dict(nu=5.0, p=1.0, iterations=10)),
+    "gaussian": (dict(seed=4), dict(nu=math.inf, p=2.0, iterations=10)),
+    "two-stage-refit": (dict(seed=8), dict(nu=10.0, p=1.5, iterations=12,
+                                           schedule=TwoStageSchedule(5, refit_iters=3))),
+}
+
+
+class TestPool:
+    @pytest.mark.parametrize("case", sorted(POOL_CASES))
+    def test_thread_count_changes_no_bit(self, monkeypatch, case):
+        scene_args, hp_args = POOL_CASES[case]
+        _, spec = small_scene_spec(**scene_args)
+        hp = HyperParams(num_bases=2, seed=1, **hp_args)
+        one = separate_on(monkeypatch, 1, spec, hp)
+        three = separate_on(monkeypatch, 3, spec, hp)
+        assert (one.metadata["workers"], three.metadata["workers"]) == (1, 3)
+        assert three.demixing.tobytes() == one.demixing.tobytes()
+        assert [img.values.tobytes() for img in three.images] == [
+            img.values.tobytes() for img in one.images]
+        assert three.cost_trace.tobytes() == one.cost_trace.tobytes()
+        assert three.metadata["events"] == one.metadata["events"]
+        assert three.metadata["head_residual"] == one.metadata["head_residual"]
+
+    def test_worker_count_is_capped(self, monkeypatch):
+        monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: set(range(64)))
+        assert engine._worker_count() == engine.MAX_WORKERS
+        monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0})
+        assert engine._worker_count() == 1
+
+    def test_no_thread_outlives_separate(self, monkeypatch):
+        before = set(threading.enumerate())
+        _, spec = small_scene_spec(2)
+        separate_on(monkeypatch, 3, spec, HyperParams(nu=5.0, p=1.0, num_bases=2, iterations=3))
+        assert set(threading.enumerate()) == before
+        values = spec.values.copy()
+        values[0] = 0.0  # a silent bin: the first sweep raises
+        silent = ComplexSpectrogram(values, spec.config, spec.num_samples)
+        with pytest.raises(SingularMatrixError):
+            separate_on(monkeypatch, 3, silent, HyperParams(nu=5.0, p=1.0, num_bases=2,
+                                                            iterations=3))
+        assert set(threading.enumerate()) == before
+
+    def test_error_in_a_pooled_task_names_its_iteration(self, monkeypatch):
+        real_update = engine.update_bases
+        calls = []
+        both_sources = threading.Barrier(2, timeout=30)
+
+        def failing_update(factors, *args):
+            calls.append(None)
+            if len(calls) > 4:  # the third iteration of a two-source run
+                # each thread holds one source until the other arrives, so a
+                # pool thread runs one of them
+                both_sources.wait()
+                if threading.current_thread().name.startswith("tilrma"):
+                    raise TilrmaError("source model failed in a pool thread")
+            return real_update(factors, *args)
+
+        monkeypatch.setattr(engine, "update_bases", failing_update)
+        _, spec = small_scene_spec(5)
+        with pytest.raises(TilrmaError, match=r"^iteration 2: source model failed in a pool"):
+            separate_on(monkeypatch, 3, spec, HyperParams(nu=5.0, p=1.0, num_bases=2,
+                                                          iterations=5))
+
+    def test_first_failure_in_item_order_is_raised_after_every_task(self):
+        finished = []
+
+        def task(k):
+            finished.append(k)
+            if k in (1, 4):
+                raise TilrmaError(f"item {k}")
+            return k
+
+        with ThreadPoolExecutor(2) as pool:
+            state = SimpleNamespace(pool=pool, workers=3)
+            with pytest.raises(TilrmaError, match="^item 1$"):
+                engine._run(state, task, range(6))
+            assert engine._run(state, lambda k: k * k, range(5)) == [0, 1, 4, 9, 16]
+        assert sorted(finished) == list(range(6))
+
+    def test_pool_adds_at_most_one_plane_to_the_memory_peak(self, monkeypatch):
+        _, spec = small_scene_spec(6, num_bins=65, num_frames=96, num_sources=3)
+        hp = HyperParams(nu=5.0, p=1.0, num_bases=2, iterations=4)
+        peaks = []
+        for workers in (1, 3):
+            tracemalloc.start()
+            try:
+                separate_on(monkeypatch, workers, spec, hp)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        plane = 65 * 96 * 8
+        assert peaks[1] <= peaks[0] + plane, peaks

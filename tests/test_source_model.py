@@ -6,6 +6,8 @@ import pytest
 from tilrma.source_model import (
     FLOOR,
     NmfFactors,
+    _t_weight,
+    _weighted_power,
     convert_domain,
     init_factors,
     recompute_scale,
@@ -186,6 +188,33 @@ class TestGaussianLimitReduction:
             (f.basis.T @ (power / r**2)) / (f.basis.T @ (1.0 / r))
         )
         assert np.allclose(ours2.activation, np.maximum(isnmf_act, FLOOR), rtol=1e-12)
+
+
+class TestGaussianFastPath:
+    # at nu=inf the weight skips 0 * |y|^2 and the factor 1 + 2/nu = 1; both
+    # change no bit for finite |y|^2 >= 0, zeros included
+    @pytest.fixture
+    def operands(self):
+        rng = np.random.default_rng(31)
+        sigma_p = 10.0 ** rng.uniform(-12, 6, (40, 50))
+        power = 10.0 ** rng.uniform(-14, 8, (40, 50))
+        power[::3] = 0.0
+        return sigma_p, power
+
+    def test_weight_is_the_general_formula_bitwise(self, operands):
+        sig_sq, power = operands
+        general = 1.0 / (sig_sq + (2.0 / math.inf) * power)
+        assert _t_weight(sig_sq, power, math.inf).tobytes() == general.tobytes()
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("planes", [1, 2])
+    def test_update_plane_is_the_general_formula_bitwise(self, operands, p, planes):
+        sigma_p, power = operands
+        nu = math.inf
+        inv_weight = 1.0 / (sigma_squared(sigma_p, p) + (2.0 / nu) * power) * (1.0 + 2.0 / nu)
+        general = power * inv_weight / sigma_p
+        ours = _weighted_power(power, sigma_p, p, nu, np.empty((planes,) + power.shape))
+        assert ours.tobytes() == general.tobytes()
 
 
 class TestMmSequenceMonotonicity:
