@@ -1,5 +1,5 @@
-"""Command-line interface: separation runs, the synthetic harness, and the
-inequality/majorizer oracle suite.
+"""Command-line interface: ``tilrma separate``, which separates a multichannel
+WAV file and, given references, scores the result.
 
 Defaults mirror the reference experimental protocol: 512 ms Hamming window
 with a 128 ms shift, 200 iterations, and basis counts of five (music) or
@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import engine, metrics, synthetic, wavio
+from . import engine, metrics, wavio
 from .engine import HyperParams, TwoStageSchedule
 from .errors import TilrmaError
 from .stft import StftConfig, analyze, synthesize
@@ -72,19 +72,6 @@ def build_parser():
     sep.add_argument("--ref-channel", type=int, default=1,
                      help="1-based reference channel for evaluation")
     sep.add_argument("--out", default="tilrma-out")
-
-    syn = sub.add_parser("synthetic", help="run the seeded synthetic harness")
-    syn.add_argument("--seeds", type=int, default=10)
-    syn.add_argument("--nu", type=_parse_nu, default=math.inf)
-    syn.add_argument("--p", type=float, default=2.0)
-    syn.add_argument("--bases", type=int, default=2)
-    syn.add_argument("--iters", type=int, default=200)
-    syn.add_argument("--seed", type=int, default=seed_default)
-
-    orc = sub.add_parser("oracle", help="run the inequality/majorizer oracle suite")
-    orc.add_argument("--samples", type=int, default=10000)
-    orc.add_argument("--states", type=int, default=100)
-    orc.add_argument("--seed", type=int, default=seed_default)
 
     return parser
 
@@ -204,59 +191,15 @@ def cmd_separate(args):
     return 0
 
 
-def cmd_synthetic(args):
-    hyper = HyperParams(nu=args.nu, p=args.p, num_bases=args.bases,
-                        iterations=args.iters, seed=args.seed)
-    failures = 0
-    for k in range(args.seeds):
-        scene = synthetic.make_scene(args.seed + k)
-        spec = synthetic.scene_spectrogram(scene)
-        result = engine.separate(spec, hyper)
-        notes = []
-        trace = result.cost_trace
-        slack = 1e-10 * np.abs(trace[:-1]) + 1e-10
-        if not np.all(trace[1:] <= trace[:-1] + slack):
-            notes.append("cost increased")
-        total = np.sum([img.values for img in result.images], axis=0)
-        gap = np.max(np.abs(total - spec.values))
-        if gap > 1e-10:
-            notes.append(f"completeness gap {gap:.2e}")
-        failures += 1 if notes else 0
-        label = f"FAIL ({'; '.join(notes)})" if notes else "PASS"
-        print(f"seed {args.seed + k}: {label}")
-    print(f"{args.seeds - failures}/{args.seeds} seeds passed")
-    return 0 if failures == 0 else 1
-
-
-def cmd_oracle(args):
-    report = synthetic.run_oracle_suite(
-        seed=args.seed, samples=args.samples, touch_states=args.states
-    )
-    print(
-        f"tangent-line inequality: {report['tangent_samples'] - report['tangent_violations']}"
-        f"/{report['tangent_samples']} held"
-    )
-    print(
-        f"weighted Jensen inequality: {report['jensen_samples'] - report['jensen_violations']}"
-        f"/{report['jensen_samples']} held"
-    )
-    print(
-        f"surrogate touch/dominance: {report['touch_states'] - report['touch_failures']}"
-        f"/{report['touch_states']} states passed"
-    )
-    return 0 if report["ok"] else 1
-
-
 def main(argv=None):
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "separate" and not args.two_stage and (
+    if not args.two_stage and (
             args.stage1_iters is not None or args.refit_iters is not None):
         parser.error("--stage1-iters and --refit-iters need --two-stage")
-    handlers = {"separate": cmd_separate, "synthetic": cmd_synthetic, "oracle": cmd_oracle}
     try:
-        return handlers[args.command](args)
+        return cmd_separate(args)
     except (TilrmaError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -220,8 +220,12 @@ def cost(state, nu, p):
 
 def _worker_count():
     """Workers of a run, the calling thread included: the CPUs in this process's
-    affinity mask, at most MAX_WORKERS."""
-    return min(len(os.sched_getaffinity(0)), MAX_WORKERS)
+    affinity mask (all CPUs where the platform has none), at most MAX_WORKERS."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # macOS and Windows
+        cpus = os.cpu_count() or 1
+    return min(cpus, MAX_WORKERS)
 
 
 def _run(state, task, items):

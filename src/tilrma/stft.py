@@ -114,18 +114,6 @@ def default_frame_count(num_samples, cfg):
     return int(math.ceil((num_samples + half) / cfg.shift_samples))
 
 
-def sample_count_for_frames(num_frames, cfg):
-    """A signal length that maps to exactly ``num_frames`` frames.
-
-    Used to attach a consistent time-domain length to spectrograms that
-    were built directly (synthetic scenes) rather than by ``analyze``.
-    """
-    n = num_frames * cfg.shift_samples - cfg.window_samples // 2
-    if n <= 0:
-        raise ValueError(f"frame count {num_frames} too small for this window")
-    return n
-
-
 def analyze(signal, cfg):
     """Compute the one-sided STFT of a (multichannel) time signal.
 

@@ -103,7 +103,10 @@ def read_wav(path):
     if frame_bytes == 0 or len(data) % frame_bytes:
         raise CorruptHeaderError(f"{path}: data size not a whole number of frames")
 
-    flat = _decode(data, code, bits)
+    try:
+        flat = _decode(data, code, bits)
+    except UnsupportedFormatError as exc:
+        raise UnsupportedFormatError(f"{path}: {exc}") from None
     return flat.reshape(-1, channels), float(rate)
 
 

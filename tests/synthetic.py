@@ -1,9 +1,9 @@
-"""Synthetic scene generation and numeric oracles for the optimization's
-provable properties.
+"""Synthetic scenes and numeric oracles for the optimization's provable
+properties, for the test suite.
 
 A scene is seeded low-rank sources mixed through one well-conditioned real
 matrix shared by every bin, with the observation the exact product; the
-acceptance suite and ``tilrma synthetic`` separate such scenes.
+acceptance suite and the engine tests separate such scenes.
 
 The separation code substitutes all auxiliary variables analytically, so
 nothing in the production path ever materializes them.  This module keeps
@@ -11,17 +11,16 @@ them observable: it evaluates the exact cost together with its two
 surrogate bounds (tangent-line and Jensen) at explicit auxiliary settings,
 so the touch conditions and the dominance chain that underpin the
 convergence guarantee can be checked numerically on random states, as
-``tilrma oracle`` does.
+acceptance criterion 3 does.
 """
-
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import cost_value, log_abs_det
-from .source_model import NmfFactors, recompute_scale
-from .stft import ComplexSpectrogram, StftConfig, sample_count_for_frames
+from tilrma.engine import _determinant_term, cost_value
+from tilrma.source_model import NmfFactors, recompute_scale
+from tilrma.stft import ComplexSpectrogram, StftConfig
 
 MAX_MIXING_CONDITION = 100.0
 
@@ -122,6 +121,18 @@ def scene_config(scene, sample_rate_hz=16000.0):
     return StftConfig(sample_rate_hz, window_ms, window_ms / 4.0)
 
 
+def sample_count_for_frames(num_frames, cfg):
+    """A signal length that maps to exactly ``num_frames`` frames.
+
+    Used to attach a consistent time-domain length to spectrograms that
+    were built directly (synthetic scenes) rather than by ``analyze``.
+    """
+    n = num_frames * cfg.shift_samples - cfg.window_samples // 2
+    if n <= 0:
+        raise ValueError(f"frame count {num_frames} too small for this window")
+    return n
+
+
 def scene_spectrogram(scene, cfg=None):
     """The scene's observation wrapped for the separation engine."""
     cfg = cfg or scene_config(scene)
@@ -174,10 +185,6 @@ def check_jensen_inequality(z, mu, p):
     return lhs, rhs, lhs <= rhs + 1e-12 * max(1.0, abs(lhs))
 
 
-def _det_term(demixing, num_frames):
-    return -2.0 * num_frames * float(np.sum(log_abs_det(demixing)))
-
-
 def optimal_auxiliaries(power, factors, nu):
     """Auxiliary settings at which both surrogate bounds touch the cost.
 
@@ -210,7 +217,7 @@ def _surrogate(demixing, power, factors, nu, alpha, beta, bound):
     if math.isinf(nu):
         raise ValueError("the surrogate bounds are defined for finite nu")
     num_frames = power.shape[2]
-    total = _det_term(demixing, num_frames)
+    total = _determinant_term(demixing, num_frames)
     half = 1.0 + nu / 2.0
     for n, fac in enumerate(factors):
         p = fac.p

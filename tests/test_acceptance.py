@@ -11,8 +11,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import synthetic
 
-from tilrma import cli, demix, engine, metrics, synthetic
+from tilrma import cli, demix, engine, metrics
 from tilrma.engine import HyperParams, TwoStageSchedule, cost
 from tilrma.source_model import init_factors
 from tilrma.stft import ComplexSpectrogram, StftConfig, analyze, synthesize

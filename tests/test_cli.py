@@ -1,6 +1,5 @@
 import json
 import re
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -165,42 +164,6 @@ class TestSeparate:
         assert code == 1
 
 
-class TestSynthetic:
-    def test_monotonic_check_passes(self, capsys):
-        code = cli.main(["synthetic", "--seeds", "2", "--iters", "25", "--seed", "0"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "2/2 seeds passed" in out
-
-    def test_all_checks(self, capsys):
-        code = cli.main(["synthetic", "--seeds", "1", "--iters", "10"])
-        assert code == 0
-        assert "1/1 seeds passed" in capsys.readouterr().out
-
-    def test_failures_are_reported(self, monkeypatch, capsys):
-        def broken(spec, hyper):
-            # a rising cost trace, and images that sum to zero instead of the input
-            silent = SimpleNamespace(values=np.zeros_like(spec.values))
-            return SimpleNamespace(cost_trace=np.array([1.0, 2.0]), images=[silent, silent])
-
-        monkeypatch.setattr(engine, "separate", broken)
-        code = cli.main(["synthetic", "--seeds", "2", "--seed", "0"])
-        out = capsys.readouterr().out
-        assert code == 1
-        assert re.search(r"^seed 0: FAIL \(cost increased; completeness gap \d\.\d\de\+\d\d\)$",
-                         out, re.M)
-        assert "0/2 seeds passed" in out
-
-
-class TestOracle:
-    def test_small_suite(self, capsys):
-        code = cli.main(["oracle", "--samples", "300", "--states", "5"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "300/300" in out
-        assert "5/5" in out
-
-
 class TestUsage:
     def test_missing_command_is_usage_error(self):
         with pytest.raises(SystemExit) as info:
@@ -216,13 +179,13 @@ class TestUsage:
     def test_seed_env_fallback(self, monkeypatch):
         monkeypatch.setenv("TILRMA_SEED", "77")
         parser = cli.build_parser()
-        args = parser.parse_args(["synthetic"])
+        args = parser.parse_args(["separate", "x.wav"])
         assert args.seed == 77
 
     def test_bad_seed_env_is_usage_error(self, monkeypatch, capsys):
         monkeypatch.setenv("TILRMA_SEED", "abc")
         with pytest.raises(SystemExit) as info:
-            cli.main(["oracle"])
+            cli.main(["separate", "x.wav"])
         assert info.value.code == 2
         assert "--seed" in capsys.readouterr().err
 

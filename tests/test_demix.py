@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import synthetic
 
-from tilrma import demix, engine, synthetic
+from tilrma import demix, engine
 from tilrma.engine import HyperParams, cost_value
 from tilrma.errors import DegenerateSourceError, SingularMatrixError
 from tilrma.source_model import NmfFactors, recompute_scale, scale_floor

@@ -7,8 +7,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import synthetic
 
-from tilrma import engine, synthetic
+from tilrma import engine
 from tilrma.engine import HyperParams, TwoStageSchedule, cost_value, log_abs_det
 from tilrma.errors import SingularMatrixError, TilrmaError
 from tilrma.source_model import init_factors
@@ -477,6 +478,13 @@ class TestPool:
         monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: set(range(64)))
         assert engine._worker_count() == engine.MAX_WORKERS
         monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0})
+        assert engine._worker_count() == 1
+
+    def test_worker_count_without_affinity_mask(self, monkeypatch):
+        monkeypatch.delattr(engine.os, "sched_getaffinity")
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: 64)
+        assert engine._worker_count() == engine.MAX_WORKERS
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: None)
         assert engine._worker_count() == 1
 
     def test_no_thread_outlives_separate(self, monkeypatch):

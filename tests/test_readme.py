@@ -1,3 +1,4 @@
+import argparse
 import re
 import shlex
 from pathlib import Path
@@ -17,10 +18,12 @@ def code_block(heading, language):
 def test_command_line_examples_parse():
     commands = [shlex.split(line)[1:] for line in code_block("Command line", "bash").splitlines()
                 if line.startswith("tilrma ")]
-    assert len(commands) >= 6
+    assert len(commands) >= 4
     parser = cli.build_parser()
-    for argv in commands:
-        parser.parse_args(argv)
+    used = {parser.parse_args(argv).command for argv in commands}
+    defined = next(action.choices for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction))
+    assert used == set(defined)
 
 
 def test_library_use_example_runs(tmp_path, monkeypatch):

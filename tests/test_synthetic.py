@@ -2,8 +2,7 @@ import math
 
 import numpy as np
 import pytest
-
-from tilrma import synthetic
+import synthetic
 
 
 class TestGenLowRankSource:

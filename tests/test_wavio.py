@@ -1,3 +1,4 @@
+import re
 import struct
 import wave
 
@@ -6,6 +7,16 @@ import pytest
 
 from tilrma import wavio
 from tilrma.errors import CorruptHeaderError, UnsupportedFormatError
+
+
+def write_pcm8(path):
+    """A mono 8-bit PCM file, an encoding the reader does not support."""
+    fmt = struct.pack("<HHIIHH", 1, 1, 8000, 8000, 1, 8)
+    data = bytes(16)
+    body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+            + b"data" + struct.pack("<I", len(data)) + data)
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    return path
 
 
 class TestPcm16:
@@ -120,13 +131,13 @@ class TestErrorPaths:
             wavio.read_wav(path)
 
     def test_unsupported_bit_depth(self, tmp_path):
-        path = tmp_path / "pcm8.wav"
-        fmt = struct.pack("<HHIIHH", 1, 1, 8000, 8000, 1, 8)
-        data = bytes(16)
-        body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
-                + b"data" + struct.pack("<I", len(data)) + data)
-        path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+        path = write_pcm8(tmp_path / "pcm8.wav")
         with pytest.raises(UnsupportedFormatError):
+            wavio.read_wav(path)
+
+    def test_unsupported_encoding_names_the_file(self, tmp_path):
+        path = write_pcm8(tmp_path / "pcm8.wav")
+        with pytest.raises(UnsupportedFormatError, match=re.escape(f"{path}: unsupported encoding")):
             wavio.read_wav(path)
 
     def test_unknown_encoding_name(self, tmp_path):
