@@ -94,8 +94,6 @@ def _build_hyper(args, num_bases):
 def cmd_separate(args):
     samples, rate = wavio.read_wav(args.input)
     num_channels = samples.shape[1]
-    if num_channels < 2:
-        raise TilrmaError("separation needs at least two channels")
     ref_channel = args.ref_channel - 1
     if not 0 <= ref_channel < num_channels:
         raise TilrmaError(f"reference channel {args.ref_channel} out of range")
@@ -114,13 +112,14 @@ def cmd_separate(args):
                 raise TilrmaError(
                     f"reference {path} is at {ref_rate:g} Hz, the input at {rate:g} Hz"
                 )
-            if ref.shape[1] == 1:
+            ref_channels = ref.shape[1]
+            if ref_channels == 1:
                 refs.append(ref[:, 0])  # a mono reference serves any channel
-            elif ref_channel < ref.shape[1]:
+            elif ref_channel < ref_channels:
                 refs.append(ref[:, ref_channel])
             else:
                 raise TilrmaError(
-                    f"reference {path} has {ref.shape[1]} channels; --ref-channel "
+                    f"reference {path} has {ref_channels} channels; --ref-channel "
                     f"{args.ref_channel} needs a mono reference or at least "
                     f"{args.ref_channel} channels"
                 )
@@ -128,12 +127,13 @@ def cmd_separate(args):
     num_bases = args.bases if args.bases is not None else PRESET_BASES[args.preset]
     stft = StftConfig(rate, args.window_ms, args.shift_ms)
     hyper = _build_hyper(args, num_bases)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     started = time.perf_counter()
     spec = analyze(samples, stft)
     result = engine.separate(spec, hyper)
+    # created only now, so an input the engine rejects leaves no directory behind
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     source_paths = []
     source_signals = []

@@ -29,26 +29,11 @@ DEGENERATE_POWER = 1e-150
 PIVOT_FLOOR = 1e-300
 
 
-def _stacked(op, out_shape, *stacks):
-    """``op`` on stacks of bins, with NaN in the bins where LAPACK fails.
-
-    A stacked numpy.linalg call raises for the whole stack when one matrix
-    is exactly singular; only then is the stack walked bin by bin.
-    """
-    try:
-        return op(*stacks)
-    except np.linalg.LinAlgError:
-        out = np.full(out_shape, np.nan, dtype=np.complex128)
-        for i, args in enumerate(zip(*stacks)):
-            try:
-                out[i] = op(*args)
-            except np.linalg.LinAlgError:
-                pass  # stays NaN; the caller's finiteness check flags the bin
-        return out
-
-
 def solve_unit(mats, n):
     """Solve mats[i] v_i = e_n in every bin, without forming an inverse.
+
+    A stacked ``numpy.linalg.solve`` raises for the whole stack when one
+    matrix is exactly singular; only then is the stack walked bin by bin.
 
     Parameters
     ----------
@@ -62,23 +47,16 @@ def solve_unit(mats, n):
     """
     rhs = np.zeros(mats.shape[:2] + (1,), dtype=np.complex128)
     rhs[:, n] = 1.0
-    return _stacked(np.linalg.solve, rhs.shape, mats, rhs)[:, :, 0]
-
-
-def invert(mats):
-    """Inverse of every bin's matrix.
-
-    Raises
-    ------
-    SingularMatrixError
-        Naming the first bin whose matrix has no finite inverse.
-    """
-    inv = _stacked(np.linalg.inv, mats.shape, mats)
-    bad = ~np.all(np.isfinite(inv), axis=(1, 2))
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        raise SingularMatrixError(f"bin {i}: matrix has no finite inverse")
-    return inv
+    try:
+        return np.linalg.solve(mats, rhs)[:, :, 0]
+    except np.linalg.LinAlgError:
+        out = np.full(mats.shape[:2], np.nan, dtype=np.complex128)
+        for i, (mat, col) in enumerate(zip(mats, rhs)):
+            try:
+                out[i] = np.linalg.solve(mat, col)[:, 0]
+            except np.linalg.LinAlgError:
+                pass  # stays NaN; the caller's finiteness check flags the bin
+        return out
 
 
 def outer_products(obs):
@@ -167,9 +145,6 @@ def ip_update(w_stack, cov, n):
     quad = np.real(np.sum(np.conj(w) * (cov @ w[:, :, None])[:, :, 0], axis=1))
     singular = ~(quad >= PIVOT_FLOOR)
     w /= np.sqrt(np.where(singular, 1.0, quad))[:, None]
-    if w.shape[1] == 1:
-        # scalar case has a free phase; pin it to the positive real axis
-        w = np.abs(w).astype(np.complex128)
     return w, singular
 
 
@@ -234,7 +209,8 @@ def back_project(w_stack, y_values, n):
     """Multichannel image of source n.
 
     y_hat_ij = W_i^-1 (e_n o y_ij) reduces to y_ij,n times column n of
-    W_i^-1, since the masked vector has a single nonzero entry.
+    W_i^-1, since the masked vector has a single nonzero entry; that column
+    is the solution of W_i v = e_n.
 
     Returns
     -------
@@ -243,7 +219,11 @@ def back_project(w_stack, y_values, n):
     Raises
     ------
     SingularMatrixError
-        Naming the first bin whose demixing matrix cannot be inverted.
+        Naming the first bin whose demixing matrix has no finite solution.
     """
-    mix_col = invert(w_stack)[:, :, n]
+    mix_col = solve_unit(w_stack, n)
+    bad = ~np.all(np.isfinite(mix_col), axis=1)
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise SingularMatrixError(f"bin {i}: demixing matrix has no finite inverse")
     return y_values[:, :, n, None] * mix_col[:, None, :]

@@ -24,10 +24,9 @@ the stage boundary and its head-residual covariance in ``_finalize`` run one
 task per source.  Every task does the same arithmetic in the same order as a
 serial run and writes only its own slice of the run state and its own work
 planes, so the output is byte-identical for any thread count.  With one CPU
-the tasks run inline.
+the calling thread runs every task itself.
 """
 
-import contextlib
 import itertools
 import math
 import os
@@ -40,13 +39,11 @@ import numpy as np
 from . import demix
 from .errors import SingularMatrixError, TilrmaError
 from .source_model import (
-    NmfFactors,
     convert_domain,
     init_factors,
     recompute_scale,
     sigma_squared,
-    update_activations,
-    update_bases,
+    update_factors,
 )
 from .stft import ComplexSpectrogram
 
@@ -130,7 +127,7 @@ class RunState:
     # tasks; together they hold exactly one complex value per bin, frame and
     # source, which the power refresh uses for y
     work: np.ndarray
-    pool: ThreadPoolExecutor | None = None  # None: tasks run inline
+    pool: ThreadPoolExecutor | None = None  # helper threads; unused at one worker
     workers: int = 1
     cost_trace: list = field(default_factory=list)
     events: list = field(default_factory=list)
@@ -237,8 +234,6 @@ def _run(state, task, items):
     so no task still writes into the run state when the caller sees it.
     """
     items = list(items)
-    if state.pool is None:
-        return [task(item) for item in items]
     outcomes = [None] * len(items)
     claims = itertools.count()  # next() runs under the interpreter lock: one claim per item
 
@@ -342,15 +337,11 @@ def _ridge_retry(state, cov, n, bins, iteration):
 
 
 def _update_sources(state, nu):
-    """Basis then activation update of every source, each followed by a scale refresh."""
+    """One ``update_factors`` step of every source."""
 
     def update(n):
-        power, sigma_p, work = state.power[n], state.sigma_p[n], state.work[n]
-        factors = update_bases(state.factors[n], power, sigma_p, nu, work)
-        recompute_scale(factors, out=sigma_p)
-        factors = update_activations(factors, power, sigma_p, nu, work)
-        recompute_scale(factors, out=sigma_p)
-        state.factors[n] = factors
+        state.factors[n] = update_factors(state.factors[n], state.power[n], state.sigma_p[n],
+                                          nu, state.work[n])
 
     _run(state, update, _sources(state))
 
@@ -385,21 +376,15 @@ def _iterate(state, nu, p, iterations, start_iteration=0):
             raise type(exc)(f"iteration {start_iteration + k}: {exc}") from exc
 
 
-def _init_state(spec, hp, p, initial_factors=None, pool=None, workers=1):
+def _init_state(spec, hp, p, pool=None, workers=1):
     values = np.ascontiguousarray(spec.values, dtype=np.complex128)
     num_bins, num_frames, num_sources = values.shape
     demixing = np.tile(np.eye(num_sources, dtype=np.complex128), (num_bins, 1, 1))
-    if initial_factors is None:
-        streams = np.random.SeedSequence(hp.seed).spawn(num_sources)
-        factors = [
-            init_factors(num_bins, num_frames, hp.num_bases, streams[n], p=p)
-            for n in range(num_sources)
-        ]
-    else:
-        _check_initial_factors(initial_factors, values.shape, hp.num_bases, p)
-        factors = [
-            NmfFactors(f.basis.copy(), f.activation.copy(), f.p) for f in initial_factors
-        ]
+    streams = np.random.SeedSequence(hp.seed).spawn(num_sources)
+    factors = [
+        init_factors(num_bins, num_frames, hp.num_bases, streams[n], p=p)
+        for n in range(num_sources)
+    ]
     state = RunState(
         obs=values,
         stats=demix.outer_products(values),
@@ -447,27 +432,6 @@ def _check_channel_rank(values):
     )
 
 
-def _check_initial_factors(initial_factors, shape, num_bases, p):
-    """Raise ValueError naming the source whose factors do not fit the run."""
-    num_bins, num_frames, num_sources = shape
-    if len(initial_factors) != num_sources:
-        raise ValueError(
-            f"need one initial NmfFactors per channel ({num_sources}), "
-            f"got {len(initial_factors)}"
-        )
-    shapes = ((num_bins, num_bases), (num_bases, num_frames))
-    for n, f in enumerate(initial_factors):
-        if (f.basis.shape, f.activation.shape) != shapes:
-            raise ValueError(
-                f"initial factors of source {n}: basis {f.basis.shape} and activation "
-                f"{f.activation.shape}, expected {shapes[0]} and {shapes[1]}"
-            )
-        if f.p != p:
-            raise ValueError(
-                f"initial factors of source {n}: p={f.p}, but the first stage runs p={p}"
-            )
-
-
 def _finalize(state, spec, hp, started, stage_boundary):
     # the covariances, the power, the scales, the outer products and the work
     # planes are all released before the images exist
@@ -501,7 +465,7 @@ def _finalize(state, spec, hp, started, stage_boundary):
     )
 
 
-def separate(spec, hp, initial_factors=None):
+def separate(spec, hp):
     """Separate a determined multichannel spectrogram.
 
     Without ``hp.schedule`` the run is one stage of ``hp.iterations``
@@ -516,13 +480,8 @@ def separate(spec, hp, initial_factors=None):
     Parameters
     ----------
     spec: ComplexSpectrogram
-        Observation with as many streams as sources to extract.
+        Observation with as many streams as sources to extract, at least two.
     hp: HyperParams
-    initial_factors: list of NmfFactors, optional
-        One per source, in place of the seeded random initialization of
-        the first stage: basis (bins, hp.num_bases), activation
-        (hp.num_bases, frames) and that stage's p.  The demixing matrices
-        always start at identity.
 
     Returns
     -------
@@ -531,21 +490,22 @@ def separate(spec, hp, initial_factors=None):
     Raises
     ------
     TilrmaError
-        If a channel is silent or a linear combination of the others.
-    ValueError
-        If ``initial_factors`` does not fit the observation or the first stage.
+        If there is one stream, or a channel is silent or a linear
+        combination of the others.
     """
     started = time.perf_counter()
+    if spec.num_streams < 2:
+        raise TilrmaError("separation needs at least two channels")
     _check_channel_rank(spec.values)
     sched = hp.schedule
     boundary = 0 if sched is None else sched.gaussian_iters
     workers = _worker_count()
     # the calling thread is one of the workers; leaving the block joins the
-    # others, however the run ends
-    with (ThreadPoolExecutor(workers - 1, thread_name_prefix="tilrma") if workers > 1
-          else contextlib.nullcontext()) as pool:
-        state = _init_state(spec, hp, hp.p if sched is None else 2.0, initial_factors,
-                            pool=pool, workers=workers)
+    # others, however the run ends.  At one worker nothing is submitted, so
+    # the executor starts no thread.
+    with ThreadPoolExecutor(max(workers - 1, 1), thread_name_prefix="tilrma") as pool:
+        state = _init_state(spec, hp, hp.p if sched is None else 2.0, pool=pool,
+                            workers=workers)
         if sched is not None:
             _iterate(state, math.inf, 2.0, boundary)
             _switch_domain(state, hp.p, sched.refit_iters)

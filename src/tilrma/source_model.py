@@ -48,10 +48,6 @@ class NmfFactors:
         self.basis = np.asarray(self.basis, dtype=np.float64)
         self.activation = np.asarray(self.activation, dtype=np.float64)
 
-    @property
-    def num_bases(self):
-        return self.basis.shape[1]
-
 
 def init_factors(num_bins, num_frames, num_bases, seed, p=2.0):
     """Draw factors i.i.d. uniform on (FLOOR, 1], reproducibly from ``seed``."""
@@ -149,15 +145,30 @@ def update_activations(factors, power, sigma_p, nu, scratch=None):
     return NmfFactors(factors.basis, np.maximum(activation, FLOOR), p)
 
 
+def update_factors(factors, power, sigma_p, nu, scratch=None):
+    """One NMF step of a single source: basis update, scale refresh,
+    activation update, scale refresh.
+
+    ``sigma_p`` is refreshed in place after each half, so on return it is
+    ``recompute_scale`` of the returned factors.  ``power``, ``nu`` and
+    ``scratch`` are as in ``update_bases``.
+    """
+    factors = update_bases(factors, power, sigma_p, nu, scratch)
+    recompute_scale(factors, out=sigma_p)
+    factors = update_activations(factors, power, sigma_p, nu, scratch)
+    recompute_scale(factors, out=sigma_p)
+    return factors
+
+
 def convert_domain(factors, sigma_p, new_p, refit_iters=10, scratch=None, out=None):
     """Re-express the scale model in a new domain exponent.
 
     The scale tensor converts exactly, ``sigma^new_p = (sigma^p)^(new_p/p)``.
     The factors cannot convert exactly for L > 1, so they are seeded with the
     elementwise power of the old factors and refit to the converted tensor by
-    ``refit_iters`` multiplicative rounds of ``update_bases``/``update_activations``
-    in the Gaussian limit, with ``target^(2/new_p)`` as the power they fit (so
-    the refit objective is minimized exactly where the model meets the target).
+    ``refit_iters`` rounds of ``update_factors`` in the Gaussian limit, with
+    ``target^(2/new_p)`` as the power they fit (so the refit objective is
+    minimized exactly where the model meets the target).
 
     Parameters
     ----------
@@ -194,8 +205,5 @@ def convert_domain(factors, sigma_p, new_p, refit_iters=10, scratch=None, out=No
     power = sigma_squared(target, new_p, out=scratch[1])
     scale = recompute_scale(refit, out=out)
     for _ in range(refit_iters):
-        refit = update_bases(refit, power, scale, math.inf, scratch[2:])
-        recompute_scale(refit, out=scale)
-        refit = update_activations(refit, power, scale, math.inf, scratch[2:])
-        recompute_scale(refit, out=scale)
+        refit = update_factors(refit, power, scale, math.inf, scratch[2:])
     return refit, target

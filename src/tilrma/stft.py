@@ -37,6 +37,10 @@ class StftConfig:
         ratio = self.window_length_ms / self.shift_ms
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 2:
             raise ValueError("window_length_ms must be an integer multiple (>= 2) of shift_ms")
+        if self.window_samples == 0:
+            raise ValueError(
+                f"a {self.window_length_ms:g} ms window is 0 samples at {self.sample_rate_hz:g} Hz"
+            )
 
     @property
     def overlap_ratio(self):

@@ -118,12 +118,9 @@ def write_wav(path, buffer, rate, bit_depth="float64"):
     buffer: ndarray (num_samples,) or (num_samples, num_channels)
     rate: sample rate in Hz
     bit_depth: one of pcm16 / pcm24 / pcm32 / float32 / float64
-        (the integers 16/24/32 are accepted as PCM shorthand)
 
     Integer encodings clip to [-1, 1] first; clipped samples are logged.
     """
-    if isinstance(bit_depth, int):
-        bit_depth = f"pcm{bit_depth}"
     if bit_depth not in _ENCODINGS:
         raise UnsupportedFormatError(f"unknown encoding {bit_depth!r}")
     fmt, bits = _ENCODINGS[bit_depth]

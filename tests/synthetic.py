@@ -193,7 +193,7 @@ def optimal_auxiliaries(power, factors, nu):
     two and (bins, frames, sources, rank) for gamma.
     """
     num_sources, num_bins, num_frames = power.shape
-    rank = factors[0].num_bases
+    rank = factors[0].basis.shape[1]
     alpha = np.empty((num_bins, num_frames, num_sources))
     beta = np.empty_like(alpha)
     gamma = np.empty((num_bins, num_frames, num_sources, rank))

@@ -82,11 +82,23 @@ class TestSeparate:
         assert len(ev["per_source_sdr_db"]) == 2
         assert ev["mean_improvement_db"] is not None
 
-    def test_mono_input_fails_cleanly(self, tmp_path):
+    def test_mono_input_fails_cleanly(self, tmp_path, capsys):
         mono = tmp_path / "mono.wav"
         wavio.write_wav(mono, np.zeros(4000), 8000, "pcm16")
-        code = cli.main(["separate", str(mono), "--iters", "1"] + SMALL_STFT)
+        out = tmp_path / "out_mono"
+        code = cli.main(["separate", str(mono), "--iters", "1", "--out", str(out)] + SMALL_STFT)
         assert code == 1
+        assert "error: separation needs at least two channels" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_window_of_zero_samples_fails_cleanly(self, mixture_fixture, tmp_path, capsys):
+        mix_path, _ = mixture_fixture
+        out = tmp_path / "out_window"
+        code = cli.main(["separate", str(mix_path), "--window-ms", "0.01",
+                         "--shift-ms", "0.0025", "--out", str(out)])
+        assert code == 1
+        assert re.search(r"^error: a 0.01 ms window is 0 samples", capsys.readouterr().err)
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "defect,message",
@@ -115,7 +127,7 @@ class TestSeparate:
         code = cli.main(["separate", str(bad), "--iters", "5", "--out", str(out)] + SMALL_STFT)
         assert code == 1
         assert re.search(r"^error: " + message, capsys.readouterr().err)
-        assert not (out / "result.json").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "defect,message",
@@ -157,7 +169,7 @@ class TestSeparate:
                          "--taps", taps, "--out", str(out)] + extra + SMALL_STFT)
         assert code == 1
         assert re.search(r"^error: .*" + message, capsys.readouterr().err)
-        assert list(out.glob("*")) == []
+        assert not out.exists()
 
     def test_missing_file_fails_cleanly(self, tmp_path):
         code = cli.main(["separate", str(tmp_path / "nope.wav")])

@@ -157,13 +157,6 @@ class TestIpUpdate:
         w = ip_update_of_bin(np.eye(2, dtype=complex), np.eye(2, dtype=complex), 1)
         assert np.allclose(w, [0.0, 1.0], atol=1e-15)
 
-    def test_scalar_case_real_positive(self):
-        u = np.array([[4.0 + 0j]])
-        w_mat = np.array([[0.3 - 0.7j]])
-        w = ip_update_of_bin(w_mat, u, 0)
-        assert w[0].imag == 0.0
-        assert w[0].real == pytest.approx(0.5, rel=1e-12)
-
     def test_postcondition_unit_quadratic_form(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
@@ -348,32 +341,6 @@ class TestRidge:
         out = demix.ridge_covariance(stack)
         assert np.allclose(np.diagonal(out - stack, axis1=1, axis2=2),
                            [[1e-12, 1e-12], [3e-12, 3e-12]], rtol=1e-3, atol=0)
-
-
-class TestInvert:
-    def test_identity(self):
-        assert np.array_equal(demix.invert(np.eye(2)[None]), np.eye(2)[None])
-
-    def test_diagonal(self):
-        out = demix.invert(np.diag([2.0, 4.0])[None])[0]
-        assert np.allclose(out, np.diag([0.5, 0.25]), atol=0)
-
-    def test_random_3x3_product_is_identity(self):
-        rng = np.random.default_rng(7)
-        m = random_complex(rng, 6, 3, 3) + 3.0 * np.eye(3)
-        assert np.max(np.abs(m @ demix.invert(m) - np.eye(3))) <= 1e-10
-
-    def test_singular_raises(self):
-        stack = np.array([np.eye(2), [[1.0, 2.0], [2.0, 4.0]]])
-        with pytest.raises(SingularMatrixError, match=r"^bin 1: "):
-            demix.invert(stack)
-
-    def test_double_inverse_round_trip(self):
-        rng = np.random.default_rng(11)
-        m = random_complex(rng, 20, 4, 4)
-        m = m[np.linalg.cond(m) <= 1e6]
-        back = demix.invert(demix.invert(m))
-        assert np.max(np.abs(back - m)) <= 1e-8 * np.max(np.abs(m))
 
 
 class TestSolveColumn:

@@ -333,59 +333,12 @@ class TestRun:
         assert md["head_residual"] >= 0.0
         assert md["elapsed_seconds"] > 0.0
 
-    @pytest.mark.parametrize(
-        "shapes,schedule,message",
-        [
-            pytest.param([(33, 48, 2, 1.0)], None,
-                         r"one initial NmfFactors per channel \(2\), got 1", id="count"),
-            pytest.param([(33, 48, 2, 1.0), (32, 48, 2, 1.0)], None,
-                         r"source 1: basis \(32, 2\)", id="basis-bins"),
-            pytest.param([(33, 47, 2, 1.0), (33, 48, 2, 1.0)], None,
-                         r"source 0: .* activation \(2, 47\)", id="activation-frames"),
-            pytest.param([(33, 48, 3, 1.0), (33, 48, 3, 1.0)], None,
-                         r"source 0: basis \(33, 3\)", id="basis-count"),
-            pytest.param([(33, 48, 2, 1.0), (33, 48, 2, 2.0)], None,
-                         r"source 1: p=2.0, but the first stage runs p=1.0", id="p"),
-            pytest.param([(33, 48, 2, 1.0), (33, 48, 2, 1.0)], TwoStageSchedule(5, 2),
-                         r"source 0: p=1.0, but the first stage runs p=2.0",
-                         id="p-under-schedule"),
-        ],
-    )
-    def test_initial_factors_must_fit_the_run(self, shapes, schedule, message):
+    def test_one_stream_is_rejected(self):
         _, spec = small_scene_spec(6)
-        hp = HyperParams(nu=5.0, p=1.0, num_bases=2, iterations=10, seed=0, schedule=schedule)
-        initial = [init_factors(b, j, k, seed=n, p=p) for n, (b, j, k, p) in enumerate(shapes)]
-        with pytest.raises(ValueError, match=message):
-            engine.separate(spec, hp, initial_factors=initial)
-
-    def test_relabeled_factors_recover_same_source_set(self):
-        # the sweep order anchors which output slot a source lands in, so
-        # relabeling the initial factors must not change what is recovered:
-        # each output matches the same ground-truth source in both runs
-        scene, spec = small_scene_spec(0, num_bins=129, num_frames=128)
-        f0 = init_factors(129, 128, 2, seed=11, p=2.0)
-        f1 = init_factors(129, 128, 2, seed=22, p=2.0)
-        hp = HyperParams(nu=math.inf, p=2.0, num_bases=2, iterations=60, seed=0)
-        run_a = engine.separate(spec, hp, initial_factors=[f0, f1])
-        run_b = engine.separate(spec, hp, initial_factors=[f1, f0])
-
-        def assignment(result):
-            out = []
-            for img in result.images:
-                scores = []
-                for n in range(2):
-                    truth = synthetic.truth_image(scene, n).ravel()
-                    est = img.values.ravel()
-                    scores.append(
-                        abs(np.vdot(est, truth))
-                        / (np.linalg.norm(est) * np.linalg.norm(truth))
-                    )
-                out.append(int(np.argmax(scores)))
-            return out
-
-        a, b = assignment(run_a), assignment(run_b)
-        assert sorted(a) == [0, 1], "run did not separate both sources"
-        assert a == b
+        mono = ComplexSpectrogram(spec.values[:, :, :1], spec.config, spec.num_samples)
+        hp = HyperParams(nu=5.0, p=1.0, num_bases=2, iterations=3)
+        with pytest.raises(TilrmaError, match="^separation needs at least two channels$"):
+            engine.separate(mono, hp)
 
 
 class TestTwoStage:
@@ -410,19 +363,6 @@ class TestTwoStage:
             assert np.all(seg[1:] <= seg[:-1] + 1e-10 * np.abs(seg[:-1]) + 1e-10)
         kinds = [e["kind"] for e in res.metadata["events"]]
         assert "stage_boundary" in kinds
-
-    def test_initial_factors_seed_the_gaussian_stage(self):
-        # the factors the seeded initialization draws, passed in explicitly,
-        # give the same run: they start stage one, at p=2
-        _, spec = small_scene_spec(9)
-        hp = HyperParams(nu=3.0, p=1.0, num_bases=2, iterations=10, seed=4,
-                         schedule=TwoStageSchedule(gaussian_iters=5, refit_iters=2))
-        streams = np.random.SeedSequence(4).spawn(2)
-        initial = [init_factors(33, 48, 2, streams[n], p=2.0) for n in range(2)]
-        given = engine.separate(spec, hp, initial_factors=initial)
-        drawn = engine.separate(spec, hp)
-        assert np.array_equal(given.cost_trace, drawn.cost_trace)
-        assert np.array_equal(given.demixing, drawn.demixing)
 
     def test_separate_dispatches_on_schedule(self):
         _, spec = small_scene_spec(9)
@@ -500,8 +440,24 @@ class TestPool:
                                                             iterations=3))
         assert set(threading.enumerate()) == before
 
+    def test_one_worker_starts_no_thread(self, monkeypatch):
+        real_update = engine.update_factors
+        threads = []
+
+        def counting_update(*args):
+            threads.append(threading.active_count())
+            return real_update(*args)
+
+        monkeypatch.setattr(engine, "update_factors", counting_update)
+        before = threading.active_count()
+        _, spec = small_scene_spec(2)
+        res = separate_on(monkeypatch, 1, spec, HyperParams(nu=5.0, p=1.0, num_bases=2,
+                                                            iterations=3))
+        assert res.metadata["workers"] == 1
+        assert threads == [before] * 6
+
     def test_error_in_a_pooled_task_names_its_iteration(self, monkeypatch):
-        real_update = engine.update_bases
+        real_update = engine.update_factors
         calls = []
         both_sources = threading.Barrier(2, timeout=30)
 
@@ -515,7 +471,7 @@ class TestPool:
                     raise TilrmaError("source model failed in a pool thread")
             return real_update(factors, *args)
 
-        monkeypatch.setattr(engine, "update_bases", failing_update)
+        monkeypatch.setattr(engine, "update_factors", failing_update)
         _, spec = small_scene_spec(5)
         with pytest.raises(TilrmaError, match=r"^iteration 2: source model failed in a pool"):
             separate_on(monkeypatch, 3, spec, HyperParams(nu=5.0, p=1.0, num_bases=2,

@@ -1,4 +1,5 @@
 import argparse
+import json
 import re
 import shlex
 from pathlib import Path
@@ -26,15 +27,26 @@ def test_command_line_examples_parse():
     assert used == set(defined)
 
 
-def test_library_use_example_runs(tmp_path, monkeypatch):
-    # 2 s at 4 kHz keeps the documented 200 iterations to a few seconds
+def write_mixture(directory, rate, seconds):
+    """Write mixture.wav, a 2 x 2 mix of a tone and gated noise, and the two
+    sources as ref0.wav and ref1.wav; return the reference paths."""
     rng = np.random.default_rng(0)
-    rate = 4000
-    t = np.arange(2 * rate) / rate
+    t = np.arange(seconds * rate) / rate
     tone = np.sin(2 * np.pi * 300 * t) * (0.6 + 0.4 * np.sin(2 * np.pi * 2 * t))
     noise = rng.standard_normal(t.size) * np.clip(np.sin(2 * np.pi * 1.5 * t), 0.05, None)
-    mixture = np.stack([tone, noise], axis=1) @ np.array([[1.0, 0.6], [0.5, 1.0]]).T
-    wavio.write_wav(tmp_path / "mixture.wav", 0.3 * mixture, rate, "float32")
+    sources = 0.3 * np.stack([tone, noise], axis=1)
+    mixture = sources @ np.array([[1.0, 0.6], [0.5, 1.0]]).T
+    wavio.write_wav(directory / "mixture.wav", mixture, rate, "float32")
+    refs = [str(directory / f"ref{k}.wav") for k in range(2)]
+    for path, source in zip(refs, sources.T):
+        wavio.write_wav(path, source, rate, "float32")
+    return refs
+
+
+def test_library_use_example_runs(tmp_path, monkeypatch):
+    # 2 s at 4 kHz keeps the documented 200 iterations to a few seconds
+    rate = 4000
+    write_mixture(tmp_path, rate, 2)
     monkeypatch.chdir(tmp_path)
 
     namespace = {}
@@ -45,3 +57,15 @@ def test_library_use_example_runs(tmp_path, monkeypatch):
     assert namespace["signal"].shape == (2 * rate, 2)
     total = np.sum([image.values for image in result.images], axis=0)
     assert np.max(np.abs(total - namespace["spec"].values)) <= 1e-10
+
+
+def test_result_file_keys_match_readme(tmp_path):
+    refs = write_mixture(tmp_path, 8000, 1)
+    out = tmp_path / "out"
+    code = cli.main(["separate", str(tmp_path / "mixture.wav"), "--iters", "2", "--refs", *refs,
+                     "--taps", "8", "--window-ms", "64", "--shift-ms", "16", "--out", str(out)])
+    assert code == 0
+
+    documented = re.findall(r"^(\w+) ", code_block("Result file", ""), re.M)
+    report = json.loads((out / "result.json").read_text())
+    assert list(report) == documented

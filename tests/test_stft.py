@@ -35,6 +35,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             StftConfig(8000.0, window_length_ms=64.0, shift_ms=64.0)
 
+    def test_window_of_zero_samples_rejected(self):
+        # 0.01 ms at 8 kHz rounds to 0 samples; frame counting would divide by 0
+        with pytest.raises(ValueError, match="0.01 ms window is 0 samples at 8000 Hz"):
+            StftConfig(8000.0, window_length_ms=0.01, shift_ms=0.0025)
+
 
 class TestAnalyze:
     def test_zero_signal(self):

@@ -87,12 +87,6 @@ class TestRoundTrips:
         assert samples.shape == (256, 2)
         assert np.max(np.abs(samples - signal)) <= 2.0 ** -(bits - 1)
 
-    def test_integer_shorthand(self, tmp_path):
-        path = tmp_path / "short.wav"
-        wavio.write_wav(path, np.zeros(10), 8000, 16)
-        samples, _ = wavio.read_wav(path)
-        assert samples.shape == (10, 1)
-
 
 class TestChannelDetection:
     @pytest.mark.parametrize("channels", [1, 2, 4, 8])
