@@ -26,6 +26,8 @@ RESULT_SCHEMA_VERSION = 1
 
 PRESET_BASES = {"music": 5, "speech": 2}
 
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 
 def _parse_nu(text):
     if text.strip().lower() in ("inf", "infinity"):
@@ -91,6 +93,21 @@ def _build_hyper(args, num_bases):
     )
 
 
+def _environment():
+    """numpy's version, its BLAS library and the BLAS thread settings: a run
+    reproduces bitwise only where all three match."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {"name": blas["name"], "version": blas["version"]}
+    except (TypeError, KeyError):  # numpy before 1.26, or a build that names no BLAS
+        blas = None
+    return {
+        "numpy": np.__version__,
+        "blas": blas,
+        "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARIABLES},
+    }
+
+
 def cmd_separate(args):
     samples, rate = wavio.read_wav(args.input)
     num_channels = samples.shape[1]
@@ -123,6 +140,13 @@ def cmd_separate(args):
                     f"{args.ref_channel} needs a mono reference or at least "
                     f"{args.ref_channel} channels"
                 )
+        length = min(min(len(r) for r in refs), samples.shape[0])
+        refs = [r[:length] for r in refs]
+        for path, ref in zip(args.refs, refs):
+            if not np.all(np.isfinite(ref)):
+                raise TilrmaError(f"reference {path} has non-finite samples")
+            if not np.any(ref):
+                raise TilrmaError(f"reference {path} is all-zero over the {length} scored samples")
 
     num_bases = args.bases if args.bases is not None else PRESET_BASES[args.preset]
     stft = StftConfig(rate, args.window_ms, args.shift_ms)
@@ -166,12 +190,11 @@ def cmd_separate(args):
             "workers": result.metadata["workers"],
             "total_seconds": time.perf_counter() - started,
         },
+        "environment": _environment(),
     }
 
     if refs:
-        length = min(min(len(r) for r in refs), samples.shape[0])
         estimates = [sig[:length, ref_channel] for sig in source_signals]
-        refs = [r[:length] for r in refs]
         eval_report = metrics.align_permutation(
             refs, estimates, taps=args.taps,
             mixture=samples[:length, ref_channel],

@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +36,8 @@ SMALL_STFT = ["--window-ms", "64", "--shift-ms", "16"]
 class TestSeparate:
     def test_smoke_gaussian(self, mixture_fixture, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(engine, "_worker_count", lambda: 3)
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         mix_path, _ = mixture_fixture
         out = tmp_path / "out"
         code = cli.main(
@@ -51,6 +54,10 @@ class TestSeparate:
         assert len(report["cost_trace"]) == 4
         assert report["stage_boundary"] is None
         assert report["timings"]["workers"] == 3
+        environment = report["environment"]
+        assert environment["numpy"] == np.__version__
+        assert environment["blas_threads"]["OMP_NUM_THREADS"] == "1"
+        assert environment["blas_threads"]["MKL_NUM_THREADS"] is None
         samples, rate = wavio.read_wav(out / "source_1.wav")
         assert rate == 8000.0
         assert samples.shape[1] == 2  # sources are emitted as multichannel images
@@ -137,8 +144,11 @@ class TestSeparate:
             ("zero-taps", r"--taps must be at least 1"),
             ("ref-rate", r"ref1\.wav is at 16000 Hz, the input at 8000 Hz"),
             ("ref-channels", r"ref1\.wav has 2 channels; --ref-channel 3 needs a mono reference"),
+            ("silent-ref", r"ref0\.wav is all-zero over the 8000 scored samples"),
+            ("nan-ref", r"ref1\.wav has non-finite samples"),
         ],
-        ids=["one-ref", "missing-ref", "zero-taps", "ref-rate", "ref-channels"],
+        ids=["one-ref", "missing-ref", "zero-taps", "ref-rate", "ref-channels", "silent-ref",
+             "nan-ref"],
     )
     def test_bad_evaluation_arguments_are_rejected_before_separation(
             self, mixture_fixture, tmp_path, capsys, defect, message):
@@ -162,6 +172,13 @@ class TestSeparate:
             wavio.write_wav(ref_paths[1], np.column_stack([mono, mono]), rate, "float64")
             ref_paths = ref_paths + [ref_paths[0]]
             extra = ["--ref-channel", "3"]
+        elif defect == "silent-ref":
+            wavio.write_wav(ref_paths[0], np.zeros(8000), 8000, "float64")
+        elif defect == "nan-ref":
+            # the writer refuses NaN, so patch the last sample in place
+            data = bytearray(Path(ref_paths[1]).read_bytes())
+            data[-8:] = np.array([np.nan], dtype="<f8").tobytes()
+            Path(ref_paths[1]).write_bytes(bytes(data))
         else:
             taps = "0"
         out = tmp_path / "out_eval"

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tilrma import metrics
 from tilrma.errors import IllConditionedProjectionError, ZeroReferenceError
@@ -19,12 +21,13 @@ def _loop_sdr_projection(reference, estimate, taps):
     reference = np.asarray(reference, dtype=np.float64)
     estimate = np.asarray(estimate, dtype=np.float64)
     length = reference.shape[0]
-    lags = np.array([reference[d:] @ reference[: length - d] for d in range(taps)])
+    # a lag at or past the length overlaps nothing
+    lags = np.array([reference[d:] @ reference[: max(length - d, 0)] for d in range(taps)])
     gram = np.empty((taps, taps))
     for a in range(taps):
         for b in range(taps):
             gram[a, b] = lags[abs(a - b)]
-    rhs = np.array([estimate[d:] @ reference[: length - d] for d in range(taps)])
+    rhs = np.array([estimate[d:] @ reference[: max(length - d, 0)] for d in range(taps)])
     if np.linalg.cond(gram) > metrics.MAX_CONDITION:
         raise IllConditionedProjectionError(
             f"projection normal equations ill-conditioned (taps={taps})"
@@ -195,6 +198,61 @@ class TestSdrProjection:
         # the delay (5) is within the filter from 7 taps on: the CAP_DB path
         assert (expected == metrics.CAP_DB) == (taps >= 7)
 
+    @pytest.mark.parametrize(
+        "length, taps, count",
+        [
+            (500, 64, 1),   # shorter than one hop: one block of 576
+            (2883, 64, 3),  # three whole hops of 961
+            (2884, 64, 4),  # one sample into a fourth block
+            (3000, 1, 3),
+            (3000, 37, 4),  # odd taps
+            (40, 100, 1),   # more taps than samples
+            (9000, 16, 9),  # more blocks than CHUNK_BLOCKS
+        ],
+    )
+    def test_block_edges_match_loop_oracle(self, length, taps, count):
+        assert metrics._block_plan(length, taps)[2] == count
+        rng = np.random.default_rng(length + taps)
+        ref = rng.standard_normal(length)
+        est = np.convolve(ref, [1.0, 0.5, -0.25])[:length] + 0.3 * rng.standard_normal(length)
+        assert metrics.sdr_projection(ref, est, taps) == pytest.approx(
+            _loop_sdr_projection(ref, est, taps), abs=1e-9
+        )
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(
+        length=st.integers(1, 3000),
+        taps=st.integers(1, 64),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_loop_oracle_for_any_shape(self, length, taps, seed):
+        rng = np.random.default_rng(seed)
+        ref = rng.standard_normal(length)
+        est = np.convolve(ref, [1.0, 0.5, -0.25])[:length] + 0.3 * rng.standard_normal(length)
+        assert metrics.sdr_projection(ref, est, taps) == pytest.approx(
+            _loop_sdr_projection(ref, est, taps), abs=1e-9
+        )
+
+    @pytest.mark.parametrize("order", [1, 2, 7, 16, 512])
+    def test_half_systems_match_full_gram(self, order):
+        rng = np.random.default_rng(order)
+        signal = rng.standard_normal(4 * order)
+        lags = np.array([signal[d:] @ signal[: signal.size - d] for d in range(order)])
+        delay = np.arange(order)
+        gram = lags[np.abs(delay[:, None] - delay)]
+        even, odd = metrics._half_systems(gram)
+        assert even.shape == ((order + 1) // 2,) * 2 and odd.shape == (order // 2,) * 2
+        full = np.linalg.eigvalsh(gram)
+        halves = np.sort(np.concatenate([np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd)]))
+        # backward-stable eigenvalues are exact to a few eps times the norm
+        np.testing.assert_allclose(halves, full, rtol=0, atol=1e-13 * order * full[-1])
+        rhs = rng.standard_normal((order, 3))
+        expected = np.linalg.solve(gram, rhs)
+        # both solves are exact to about eps times the condition number
+        bound = 1e-14 * order * (full[-1] / full[0]) * np.max(np.abs(expected))
+        np.testing.assert_allclose(metrics._half_solve(even, odd, rhs), expected,
+                                   rtol=0, atol=bound)
+
     def test_monotone_in_taps(self):
         rng = np.random.default_rng(8)
         ref = rng.standard_normal(800)
@@ -327,6 +385,12 @@ class TestAlignPermutation:
         noise = np.random.default_rng(16).standard_normal(64)
         with pytest.raises(ZeroReferenceError, match="^reference 0: "):
             metrics.align_permutation([np.zeros(64), noise], [noise, noise], taps=4)
+
+    def test_empty_reference_is_all_zero(self):
+        with pytest.raises(ZeroReferenceError, match="^reference 0: "):
+            metrics.align_permutation([np.zeros(0)], [np.zeros(0)], taps=4)
+        with pytest.raises(ZeroReferenceError):
+            metrics.sdr_projection(np.zeros(0), np.zeros(0), taps=4)
 
     @pytest.mark.parametrize("with_mixture", [False, True], ids=["no-mixture", "mixture"])
     def test_batched_scores_match_single_pair(self, with_mixture):
