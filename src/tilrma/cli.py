@@ -33,7 +33,7 @@ def _parse_nu(text):
     if text.strip().lower() in ("inf", "infinity"):
         return math.inf
     value = float(text)
-    if value <= 0:
+    if not value > 0:  # NaN too
         raise argparse.ArgumentTypeError("nu must be positive or 'inf'")
     return value
 

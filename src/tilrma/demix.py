@@ -1,5 +1,5 @@
 """Spatial half of the separation: weighted covariances, iterative-projection
-row updates, per-iteration rescaling, and back-projection to source images.
+row updates, per-source rescaling, and back-projection to source images.
 
 Frequency bins are mutually independent, so every operation here takes the
 whole stack of bins at once, one source or one demixing row at a time: the
@@ -170,38 +170,30 @@ def head_residual(w_stack, cov, n):
     return float(np.max(np.abs(vals)))
 
 
-def normalize(w_stack, power, sigma_p, factors):
-    """Rescale every source to unit average power, in place.
+def normalize(w_stack, power, sigma_p, factors, n):
+    """Rescale source n to unit average power, in place.
 
     Applies w <- w/eta, power <- power eta^-2, sigma^p <- sigma^p eta^-p,
-    T <- T eta^-p with eta the per-source RMS of y; ``power`` is |y|^2,
-    (sources, bins, frames).  The cost function is invariant under this
-    rescaling; it only fixes the scale ambiguity between W and the source models.
+    T <- T eta^-p to source n alone, with eta the RMS of its y; ``power`` is
+    |y|^2, (sources, bins, frames).  The cost function is invariant under this
+    rescaling; it only fixes the scale ambiguity between W and the source model.
 
     The scaling is exact, with no floor re-applied: a slot of sigma^p or T
     that sat at its floor holds eta^-p times that floor afterwards, until the
     next ``recompute_scale`` or factor update floors it again.  Clamping here
     would not scale with eta and would change the cost.
 
-    Returns
-    -------
-    ndarray (sources,) of the eta coefficients.
-
-    Raises
-    ------
-    DegenerateSourceError
-        If a source's average power has collapsed to zero.
+    Returns the float eta; raises ``DegenerateSourceError`` if the source's
+    average power has collapsed to zero.
     """
-    eta = np.empty(power.shape[0])
-    for n in range(power.shape[0]):
-        eta[n] = math.sqrt(np.mean(power[n]))
-        if eta[n] < DEGENERATE_POWER:
-            raise DegenerateSourceError(f"source {n} has (near-)zero power")
-        p = factors[n].p
-        w_stack[:, n, :] /= eta[n]
-        power[n] *= eta[n] ** -2.0
-        sigma_p[n] *= eta[n] ** (-p)
-        factors[n].basis *= eta[n] ** (-p)
+    eta = math.sqrt(np.mean(power[n]))
+    if eta < DEGENERATE_POWER:
+        raise DegenerateSourceError(f"source {n} has (near-)zero power")
+    p = factors[n].p
+    w_stack[:, n, :] /= eta
+    power[n] *= eta ** -2.0
+    sigma_p[n] *= eta ** (-p)
+    factors[n].basis *= eta ** (-p)
     return eta
 
 

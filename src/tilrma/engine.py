@@ -6,25 +6,24 @@ nu=inf, so both stages of a schedule run the same updates; only the cost
 keeps a Gaussian form, because its t form is inf * 0 there.
 
 One iteration runs, in order: demixing-row updates for every source, each
-across all frequency bins at once, power refresh, basis update, scale
-refresh, activation update, scale refresh, unit-power rescaling.  Each piece
-is a majorization-minimization step conditioned on a freshly touched
-surrogate, so the cost recorded after every iteration never increases within
-a stage.  All of it sees y = W x only through the real power |y|^2 that the
-run state carries; y exists only in the power refresh and the back-projection.
+across all frequency bins at once, power refresh, then per source a basis
+update, scale refresh, activation update, scale refresh, unit-power
+rescaling and cost term.  Each piece is a majorization-minimization step
+conditioned on a freshly touched surrogate, so the cost recorded after every
+iteration never increases within a stage.  All of it sees y = W x only
+through the real power |y|^2 that the run state carries; y exists only in
+the power refresh and the back-projection.
 
 Work that is independent across sources or bins runs on a thread pool with
 one thread per CPU the process may use, at most MAX_WORKERS (numpy releases
-the interpreter lock inside its array loops and BLAS calls).  A sweep's
+the interpreter lock inside its array loops and BLAS calls).  The sweep's
 weighted covariances run a source and a block of bins per task (the row
-solves that use them stay sequential), and the power refresh a block of
-bins per task.  Each source's
-factor updates, its cost term (summed in source order), its domain refit at
-the stage boundary and its head-residual covariance in ``_finalize`` run one
-task per source.  Every task does the same arithmetic in the same order as a
-serial run and writes only its own slice of the run state and its own work
-planes, so the output is byte-identical for any thread count.  With one CPU
-the calling thread runs every task itself.
+solves that use them stay sequential), the power refresh a block of bins
+per task, and the source step, the domain refit and the head residual one
+task per source.  Every task does the same arithmetic in the same order as
+a serial run and writes only its own slice of the run state and its own
+work planes, so the output is byte-identical for any thread count.  With
+one CPU the calling thread runs every task itself.
 """
 
 import itertools
@@ -203,18 +202,6 @@ def cost_value(demixing, power, sigma_p, nu, p):
     return total
 
 
-def cost(state, nu, p):
-    """Cost of a run state, summed as ``cost_value`` sums it, with the source terms pooled."""
-
-    def term(n):
-        return _source_cost(state.power[n], state.sigma_p[n], nu, p, state.work[n])
-
-    total = _determinant_term(state.demixing, state.power.shape[2])
-    for value in _run(state, term, _sources(state)):
-        total += value
-    return total
-
-
 def _worker_count():
     """Workers of a run, the calling thread included: the CPUs in this process's
     affinity mask (all CPUs where the platform has none), at most MAX_WORKERS."""
@@ -336,30 +323,29 @@ def _ridge_retry(state, cov, n, bins, iteration):
     return w
 
 
-def _update_sources(state, nu):
-    """One ``update_factors`` step of every source."""
+def _source_step(state, nu, p):
+    """One NMF step, rescaling and cost term per source; returns the cost,
+    summed as ``cost_value`` sums it."""
 
-    def update(n):
+    def step(n):
         state.factors[n] = update_factors(state.factors[n], state.power[n], state.sigma_p[n],
                                           nu, state.work[n])
+        demix.normalize(state.demixing, state.power, state.sigma_p, state.factors, n)
+        return _source_cost(state.power[n], state.sigma_p[n], nu, p, state.work[n])
 
-    _run(state, update, _sources(state))
+    terms = _run(state, step, _sources(state))
+    total = _determinant_term(state.demixing, state.power.shape[2])
+    for term in terms:
+        total += term
+    return total
 
 
 def _switch_domain(state, p, refit_iters):
-    """Convert every source's scale model to exponent p, refitting its factors.
-
-    A refit keeps the converted tensor besides its two work planes; that
-    plane is allocated here, on the calling thread, whose heap the rest of
-    the run reuses, and not in a pool thread's own heap.
-    """
-    targets = np.empty_like(state.sigma_p)
+    """Convert every source's scale model to exponent p, refitting its factors."""
 
     def refit(n):
-        sigma_p = state.sigma_p[n]
-        state.factors[n], _ = convert_domain(state.factors[n], sigma_p, p, refit_iters,
-                                             scratch=(targets[n], *state.work[n]),
-                                             out=sigma_p)
+        state.factors[n] = convert_domain(state.factors[n], state.sigma_p[n], p, refit_iters,
+                                          scratch=state.work[n])
 
     _run(state, refit, _sources(state))
 
@@ -369,9 +355,7 @@ def _iterate(state, nu, p, iterations, start_iteration=0):
         try:
             _ip_sweep(state, nu, p, start_iteration + k)
             _refresh_power(state)
-            _update_sources(state, nu)
-            demix.normalize(state.demixing, state.power, state.sigma_p, state.factors)
-            state.cost_trace.append(cost(state, nu, p))
+            state.cost_trace.append(_source_step(state, nu, p))
         except TilrmaError as exc:
             raise type(exc)(f"iteration {start_iteration + k}: {exc}") from exc
 

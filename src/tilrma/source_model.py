@@ -160,8 +160,8 @@ def update_factors(factors, power, sigma_p, nu, scratch=None):
     return factors
 
 
-def convert_domain(factors, sigma_p, new_p, refit_iters=10, scratch=None, out=None):
-    """Re-express the scale model in a new domain exponent.
+def convert_domain(factors, sigma_p, new_p, refit_iters=10, scratch=None):
+    """Re-express the scale model in a new domain exponent, refitting in place.
 
     The scale tensor converts exactly, ``sigma^new_p = (sigma^p)^(new_p/p)``.
     The factors cannot convert exactly for L > 1, so they are seeded with the
@@ -170,40 +170,32 @@ def convert_domain(factors, sigma_p, new_p, refit_iters=10, scratch=None, out=No
     ``target^(2/new_p)`` as the power they fit (so the refit objective is
     minimized exactly where the model meets the target).
 
-    Parameters
-    ----------
-    scratch: sequence of three (bins, frames) planes, optional
-        Planes for the converted tensor (returned), the refit's power and
-        its update temporaries, in place of fresh ones.
-    out: ndarray (bins, frames), optional
-        When the exponent changes, receives the refit scale, which is
-        ``recompute_scale`` of the returned factors.  It may be ``sigma_p``
-        itself: the target is taken from it first.
-
-    Returns
-    -------
-    (NmfFactors, ndarray): refit factors and the converted scale tensor.
+    The target is taken from ``sigma_p``, which then holds ``recompute_scale``
+    of the returned factors.  ``scratch``, two (bins, frames) planes for the
+    refit's power and its update temporaries, saves fresh ones.  At an
+    unchanged exponent ``factors`` itself is returned and ``sigma_p`` left as is.
     """
     if not 1.0 <= new_p <= 2.0:
         raise ValueError(f"domain exponent p must lie in [1, 2], got {new_p}")
     if new_p == factors.p:
-        return factors, sigma_p
+        return factors
 
     exponent = new_p / factors.p
     if scratch is None:
-        scratch = np.empty((3,) + sigma_p.shape)
-    target = np.maximum(sigma_p, scale_floor(factors.p), out=scratch[0])
-    target **= exponent
+        scratch = np.empty((2,) + sigma_p.shape)
+    # target^(2/new_p), formed over the target, makes the fixed point sit at
+    # T @ V = target
+    power = np.maximum(sigma_p, scale_floor(factors.p), out=scratch[0])
+    power **= exponent
+    power = sigma_squared(power, new_p, out=power)
     refit = NmfFactors(
         np.maximum(factors.basis**exponent, FLOOR),
         np.maximum(factors.activation**exponent, FLOOR),
         new_p,
     )
-    # power = target^(2/new_p) makes the fixed point sit at T @ V = target;
     # nu=inf keeps the refit free of the dof parameter, and its updates to
     # one work plane
-    power = sigma_squared(target, new_p, out=scratch[1])
-    scale = recompute_scale(refit, out=out)
+    recompute_scale(refit, out=sigma_p)
     for _ in range(refit_iters):
-        refit = update_factors(refit, power, scale, math.inf, scratch[2:])
-    return refit, target
+        refit = update_factors(refit, power, sigma_p, math.inf, scratch[1:])
+    return refit

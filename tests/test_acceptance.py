@@ -14,8 +14,8 @@ import pytest
 import synthetic
 
 from tilrma import cli, demix, engine, metrics
-from tilrma.engine import HyperParams, TwoStageSchedule, cost
-from tilrma.source_model import init_factors
+from tilrma.engine import HyperParams, TwoStageSchedule, cost_value
+from tilrma.source_model import init_factors, update_factors
 from tilrma.stft import ComplexSpectrogram, StftConfig, analyze, synthesize
 
 SEEDS = range(10)
@@ -195,10 +195,13 @@ def test_criterion_5_structural_identities():
     for k in range(50):
         engine._ip_sweep(state, nu, p, k)
         engine._refresh_power(state)
-        engine._update_sources(state, nu)
-        before = cost(state, nu, p)
-        demix.normalize(state.demixing, state.power, state.sigma_p, state.factors)
-        after = cost(state, nu, p)
+        for n in range(2):
+            state.factors[n] = update_factors(state.factors[n], state.power[n],
+                                              state.sigma_p[n], nu)
+        before = cost_value(state.demixing, state.power, state.sigma_p, nu, p)
+        for n in range(2):
+            demix.normalize(state.demixing, state.power, state.sigma_p, state.factors, n)
+        after = cost_value(state.demixing, state.power, state.sigma_p, nu, p)
         worst_invariance = max(worst_invariance, abs(after - before) / abs(before))
         y = np.einsum("inm,ijm->ijn", state.demixing, state.obs)
         total = sum(demix.back_project(state.demixing, y, n) for n in range(2))

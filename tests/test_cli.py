@@ -201,9 +201,10 @@ class TestUsage:
 
     def test_bad_nu_is_usage_error(self, mixture_fixture):
         mix_path, _ = mixture_fixture
-        with pytest.raises(SystemExit) as info:
-            cli.main(["separate", str(mix_path), "--nu", "-3"])
-        assert info.value.code == 2
+        for nu in ("-3", "nan"):
+            with pytest.raises(SystemExit) as info:
+                cli.main(["separate", str(mix_path), "--nu", nu])
+            assert info.value.code == 2
 
     def test_seed_env_fallback(self, monkeypatch):
         monkeypatch.setenv("TILRMA_SEED", "77")

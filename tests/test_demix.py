@@ -232,7 +232,7 @@ class TestNormalize:
         for n in range(2):
             power[n] /= np.mean(power[n])
         w0, power0, s0 = w_stack.copy(), power.copy(), sigma_p.copy()
-        eta = demix.normalize(w_stack, power, sigma_p, factors)
+        eta = [demix.normalize(w_stack, power, sigma_p, factors, n) for n in range(2)]
         assert np.allclose(eta, 1.0, atol=1e-12)
         assert np.allclose(w_stack, w0, rtol=1e-12)
         assert np.allclose(power, power0, rtol=1e-12)
@@ -241,7 +241,8 @@ class TestNormalize:
     def test_inverse_scaling_restores_state(self):
         rng = np.random.default_rng(8)
         w_stack, power, factors, sigma_p = build_state(rng)
-        demix.normalize(w_stack, power, sigma_p, factors)  # reach unit power first
+        for n in range(2):  # reach unit power first
+            demix.normalize(w_stack, power, sigma_p, factors, n)
         w0, power0, s0 = w_stack.copy(), power.copy(), sigma_p.copy()
         b0 = [f.basis.copy() for f in factors]
 
@@ -250,7 +251,7 @@ class TestNormalize:
         power[n] *= 2.0**2
         sigma_p[n] *= 2.0**p
         factors[n].basis *= 2.0**p
-        eta = demix.normalize(w_stack, power, sigma_p, factors)
+        eta = [demix.normalize(w_stack, power, sigma_p, factors, k) for k in range(2)]
         assert eta[n] == pytest.approx(2.0, rel=1e-12)
         assert np.allclose(w_stack, w0, rtol=1e-12)
         assert np.allclose(power, power0, rtol=1e-12)
@@ -276,7 +277,8 @@ class TestNormalize:
             assert np.all(sigma_p[0, 1] == scale_floor(p))
             power *= 3.0**2 / np.mean(power)
         before = cost_value(w_stack, power, sigma_p, nu, p)
-        demix.normalize(w_stack, power, sigma_p, factors)
+        for n in range(2):
+            demix.normalize(w_stack, power, sigma_p, factors, n)
         after = cost_value(w_stack, power, sigma_p, nu, p)
         assert after == pytest.approx(before, rel=1e-9)
 
@@ -284,8 +286,27 @@ class TestNormalize:
         rng = np.random.default_rng(10)
         w_stack, power, factors, sigma_p = build_state(rng)
         power[1] = 0.0
-        with pytest.raises(DegenerateSourceError):
-            demix.normalize(w_stack, power, sigma_p, factors)
+        with pytest.raises(DegenerateSourceError, match="source 1"):
+            demix.normalize(w_stack, power, sigma_p, factors, 1)
+
+    def test_other_sources_are_untouched(self):
+        rng = np.random.default_rng(12)
+        w_stack, power, factors, sigma_p = build_state(rng, num_sources=3, p=1.0)
+        power *= 5.0  # so that eta is not 1
+        w0, power0, s0 = w_stack.copy(), power.copy(), sigma_p.copy()
+        b0 = [f.basis.copy() for f in factors]
+        a0 = [f.activation.copy() for f in factors]
+        n = 1
+        demix.normalize(w_stack, power, sigma_p, factors, n)
+        others = [0, 2]
+        assert w_stack[:, others].tobytes() == w0[:, others].tobytes()
+        assert power[others].tobytes() == power0[others].tobytes()
+        assert sigma_p[others].tobytes() == s0[others].tobytes()
+        for k in others:
+            assert factors[k].basis.tobytes() == b0[k].tobytes()
+        for k in range(3):
+            assert factors[k].activation.tobytes() == a0[k].tobytes()
+        assert not np.array_equal(w_stack[:, n], w0[:, n])
 
 
 class TestBackProject:

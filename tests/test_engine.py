@@ -395,6 +395,9 @@ POOL_CASES = {
     "gaussian": (dict(seed=4), dict(nu=math.inf, p=2.0, iterations=10)),
     "two-stage-refit": (dict(seed=8), dict(nu=10.0, p=1.5, iterations=12,
                                            schedule=TwoStageSchedule(5, refit_iters=3))),
+    # p=2 keeps the Gaussian stage's exponent: the refit returns at once
+    "two-stage-same-p": (dict(seed=5), dict(nu=10.0, p=2.0, iterations=12,
+                                            schedule=TwoStageSchedule(5, refit_iters=3))),
 }
 
 

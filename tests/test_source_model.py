@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -261,16 +262,17 @@ class TestConvertDomain:
         rng = np.random.default_rng(7)
         f = random_factors(rng, 4, 5, 2, 2.0)
         sp = recompute_scale(f)
-        out_f, out_sp = convert_domain(f, sp, 2.0)
-        assert out_f is f and out_sp is sp
+        sp0 = sp.copy()
+        assert convert_domain(f, sp, 2.0) is f
+        assert sp.tobytes() == sp0.tobytes()
 
     def test_rank_one_exact_power(self):
         rng = np.random.default_rng(8)
         f = random_factors(rng, 4, 5, 1, 2.0)
         sp = recompute_scale(f)
-        _, converted = convert_domain(f, sp, 1.0)
+        convert_domain(f, sp, 1.0)
         expected = (f.basis @ f.activation) ** 0.5
-        assert np.allclose(converted, expected, rtol=1e-12)
+        assert np.allclose(sp, expected, rtol=1e-12)
 
     def test_refit_reduces_reconstruction_error(self):
         rng = np.random.default_rng(9)
@@ -281,9 +283,24 @@ class TestConvertDomain:
         seed_factors = NmfFactors(f.basis**exponent, f.activation**exponent, new_p)
         target = sp**exponent
         pre = _refit_objective(recompute_scale(seed_factors), target, new_p)
-        out_f, out_target = convert_domain(f, sp, new_p)
-        post = _refit_objective(recompute_scale(out_f), out_target, new_p)
+        out_f = convert_domain(f, sp.copy(), new_p)
+        post = _refit_objective(recompute_scale(out_f), target, new_p)
         assert post <= pre + 1e-10 * abs(pre)
+
+    def test_refit_in_scratch_planes_leaves_its_scale_in_sigma_p(self):
+        rng = np.random.default_rng(10)
+        num_bins, num_frames = 64, 400
+        f = random_factors(rng, num_bins, num_frames, 2, 2.0)
+        sp = recompute_scale(f)
+        scratch = np.empty((2, num_bins, num_frames))
+        tracemalloc.start()
+        try:
+            out_f = convert_domain(f, sp, 1.0, refit_iters=3, scratch=scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < num_bins * num_frames * 8, peak
+        assert sp.tobytes() == recompute_scale(out_f).tobytes()
 
     def test_p_validation(self):
         f = NmfFactors([[1.0]], [[1.0]], 2.0)
