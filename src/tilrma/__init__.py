@@ -2,7 +2,6 @@
 
 from .engine import HyperParams, SeparationResult, TwoStageSchedule, separate
 from .metrics import EvalReport, align_permutation, sdr_projection, si_sdr
-from .source_model import NmfFactors, init_factors
 from .stft import ComplexSpectrogram, StftConfig, analyze, synthesize
 from .wavio import read_wav, write_wav
 
@@ -10,13 +9,11 @@ __all__ = [
     "ComplexSpectrogram",
     "EvalReport",
     "HyperParams",
-    "NmfFactors",
     "SeparationResult",
     "StftConfig",
     "TwoStageSchedule",
     "align_permutation",
     "analyze",
-    "init_factors",
     "read_wav",
     "sdr_projection",
     "separate",

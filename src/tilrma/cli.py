@@ -29,15 +29,6 @@ PRESET_BASES = {"music": 5, "speech": 2}
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _parse_nu(text):
-    if text.strip().lower() in ("inf", "infinity"):
-        return math.inf
-    value = float(text)
-    if not value > 0:  # NaN too
-        raise argparse.ArgumentTypeError("nu must be positive or 'inf'")
-    return value
-
-
 def build_parser():
     # argparse applies type=int to a string default, so a bad TILRMA_SEED is a usage error
     seed_default = os.environ.get("TILRMA_SEED", "0")
@@ -50,7 +41,7 @@ def build_parser():
 
     sep = sub.add_parser("separate", help="separate a multichannel WAV file")
     sep.add_argument("input", help="multichannel WAV file (as many channels as sources)")
-    sep.add_argument("--nu", type=_parse_nu, default=math.inf,
+    sep.add_argument("--nu", type=float, default=math.inf,
                      help="degrees of freedom; 'inf' selects the Gaussian model")
     sep.add_argument("--p", type=float, default=2.0, help="NMF domain exponent in [1, 2]")
     sep.add_argument("--bases", type=int, default=None,
@@ -78,7 +69,8 @@ def build_parser():
     return parser
 
 
-def _build_hyper(args, num_bases):
+def _build_hyper(args):
+    """The run's ``HyperParams``; raises ``ValueError`` for an invalid value."""
     schedule = None
     if args.two_stage:
         counts = {"gaussian_iters": args.stage1_iters, "refit_iters": args.refit_iters}
@@ -86,7 +78,7 @@ def _build_hyper(args, num_bases):
     return HyperParams(
         nu=args.nu,
         p=args.p,
-        num_bases=num_bases,
+        num_bases=args.bases if args.bases is not None else PRESET_BASES[args.preset],
         iterations=args.iters,
         schedule=schedule,
         seed=args.seed,
@@ -108,7 +100,7 @@ def _environment():
     }
 
 
-def cmd_separate(args):
+def cmd_separate(args, hyper):
     samples, rate = wavio.read_wav(args.input)
     num_channels = samples.shape[1]
     ref_channel = args.ref_channel - 1
@@ -148,9 +140,7 @@ def cmd_separate(args):
             if not np.any(ref):
                 raise TilrmaError(f"reference {path} is all-zero over the {length} scored samples")
 
-    num_bases = args.bases if args.bases is not None else PRESET_BASES[args.preset]
     stft = StftConfig(rate, args.window_ms, args.shift_ms)
-    hyper = _build_hyper(args, num_bases)
 
     started = time.perf_counter()
     spec = analyze(samples, stft)
@@ -222,7 +212,11 @@ def main(argv=None):
             args.stage1_iters is not None or args.refit_iters is not None):
         parser.error("--stage1-iters and --refit-iters need --two-stage")
     try:
-        return cmd_separate(args)
+        hyper = _build_hyper(args)
+    except ValueError as exc:  # checked before any input is read
+        parser.error(str(exc))
+    try:
+        return cmd_separate(args, hyper)
     except (TilrmaError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -170,13 +170,16 @@ def head_residual(w_stack, cov, n):
     return float(np.max(np.abs(vals)))
 
 
-def normalize(w_stack, power, sigma_p, factors, n):
+def normalize(w_stack, power, sigma_p, basis, p, n):
     """Rescale source n to unit average power, in place.
 
     Applies w <- w/eta, power <- power eta^-2, sigma^p <- sigma^p eta^-p,
-    T <- T eta^-p to source n alone, with eta the RMS of its y; ``power`` is
-    |y|^2, (sources, bins, frames).  The cost function is invariant under this
-    rescaling; it only fixes the scale ambiguity between W and the source model.
+    T <- T eta^-p to source n alone, with eta the RMS of its y.  ``power``,
+    ``sigma_p`` and ``basis`` are the stacks of every source, (sources, bins,
+    frames) for the first two and (sources, bins, bases) for T, and p is the
+    domain exponent of the scale model.  The cost function is invariant under
+    this rescaling; it only fixes the scale ambiguity between W and the source
+    model.
 
     The scaling is exact, with no floor re-applied: a slot of sigma^p or T
     that sat at its floor holds eta^-p times that floor afterwards, until the
@@ -189,11 +192,10 @@ def normalize(w_stack, power, sigma_p, factors, n):
     eta = math.sqrt(np.mean(power[n]))
     if eta < DEGENERATE_POWER:
         raise DegenerateSourceError(f"source {n} has (near-)zero power")
-    p = factors[n].p
     w_stack[:, n, :] /= eta
     power[n] *= eta ** -2.0
     sigma_p[n] *= eta ** (-p)
-    factors[n].basis *= eta ** (-p)
+    basis[n] *= eta ** (-p)
     return eta
 
 

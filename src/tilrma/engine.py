@@ -89,6 +89,8 @@ class HyperParams:
             raise ValueError("num_bases must be at least 1")
         if self.iterations < 0:
             raise ValueError("iterations must be nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.schedule is not None:
             if not 0 < self.schedule.gaussian_iters < self.iterations:
                 raise ValueError("gaussian_iters must lie strictly inside the run length")
@@ -114,14 +116,19 @@ class HyperParams:
 
 @dataclass
 class RunState:
-    """Mutable state owned by the engine during a run."""
+    """Mutable state owned by the engine during a run.
+
+    Each per-source quantity is one array with the source axis first.  The
+    domain exponent p is not stored: each stage passes its own to every phase.
+    """
 
     obs: np.ndarray        # (bins, frames, channels)
     stats: np.ndarray      # (bins, frames, M^2), real; demix.outer_products(obs)
     demixing: np.ndarray   # (bins, sources, sources); row n of W_i is w_n^H
     power: np.ndarray      # (sources, bins, frames), |y|^2 with y_ij = W_i x_ij
-    factors: list          # per-source NmfFactors
-    sigma_p: np.ndarray    # (sources, bins, frames)
+    basis: np.ndarray      # (sources, bins, bases), T of every source
+    activation: np.ndarray  # (sources, bases, frames), V of every source
+    sigma_p: np.ndarray    # (sources, bins, frames), floored T @ V, rescaled since
     # (sources, 2, bins, frames): two work planes per source for its pooled
     # tasks; together they hold exactly one complex value per bin, frame and
     # source, which the power refresh uses for y
@@ -243,7 +250,7 @@ def _run(state, task, items):
 
 
 def _sources(state):
-    return range(len(state.factors))
+    return range(len(state.basis))
 
 
 def _bin_blocks(num_bins, parts):
@@ -292,7 +299,7 @@ def _ip_sweep(state, nu, p, iteration):
     per task, which keeps the threads evenly loaded when the sources do
     not divide among them.
     """
-    covs = np.empty((len(state.factors),) + state.demixing.shape, dtype=np.complex128)
+    covs = np.empty((len(state.basis),) + state.demixing.shape, dtype=np.complex128)
 
     def covariance(task):
         n, bins = task
@@ -328,9 +335,9 @@ def _source_step(state, nu, p):
     summed as ``cost_value`` sums it."""
 
     def step(n):
-        state.factors[n] = update_factors(state.factors[n], state.power[n], state.sigma_p[n],
-                                          nu, state.work[n])
-        demix.normalize(state.demixing, state.power, state.sigma_p, state.factors, n)
+        update_factors(state.basis[n], state.activation[n], state.power[n], state.sigma_p[n],
+                       p, nu, state.work[n])
+        demix.normalize(state.demixing, state.power, state.sigma_p, state.basis, p, n)
         return _source_cost(state.power[n], state.sigma_p[n], nu, p, state.work[n])
 
     terms = _run(state, step, _sources(state))
@@ -340,12 +347,12 @@ def _source_step(state, nu, p):
     return total
 
 
-def _switch_domain(state, p, refit_iters):
-    """Convert every source's scale model to exponent p, refitting its factors."""
+def _switch_domain(state, p, new_p, refit_iters):
+    """Convert every source's scale model from exponent p to new_p, refitting its factors."""
 
     def refit(n):
-        state.factors[n] = convert_domain(state.factors[n], state.sigma_p[n], p, refit_iters,
-                                          scratch=state.work[n])
+        convert_domain(state.basis[n], state.activation[n], state.sigma_p[n], p, new_p,
+                       refit_iters, state.work[n])
 
     _run(state, refit, _sources(state))
 
@@ -364,18 +371,15 @@ def _init_state(spec, hp, p, pool=None, workers=1):
     values = np.ascontiguousarray(spec.values, dtype=np.complex128)
     num_bins, num_frames, num_sources = values.shape
     demixing = np.tile(np.eye(num_sources, dtype=np.complex128), (num_bins, 1, 1))
-    streams = np.random.SeedSequence(hp.seed).spawn(num_sources)
-    factors = [
-        init_factors(num_bins, num_frames, hp.num_bases, streams[n], p=p)
-        for n in range(num_sources)
-    ]
+    basis, activation = init_factors(num_sources, num_bins, num_frames, hp.num_bases, hp.seed)
     state = RunState(
         obs=values,
         stats=demix.outer_products(values),
         demixing=demixing,
         power=np.empty((num_sources, num_bins, num_frames)),
-        factors=factors,
-        sigma_p=np.stack([recompute_scale(f) for f in factors]),
+        basis=basis,
+        activation=activation,
+        sigma_p=recompute_scale(basis, activation, p),
         work=np.empty((num_sources, 2, num_bins, num_frames)),
         pool=pool,
         workers=workers,
@@ -431,7 +435,7 @@ def _finalize(state, spec, hp, started, stage_boundary):
             spec.config,
             spec.num_samples,
         )
-        for n in range(len(state.factors))
+        for n in _sources(state)
     ]
     metadata = {
         **hp.to_json(),
@@ -492,7 +496,7 @@ def separate(spec, hp):
                             workers=workers)
         if sched is not None:
             _iterate(state, math.inf, 2.0, boundary)
-            _switch_domain(state, hp.p, sched.refit_iters)
+            _switch_domain(state, 2.0, hp.p, sched.refit_iters)
             state.events.append({"kind": "stage_boundary", "iteration": boundary})
         _iterate(state, hp.nu, hp.p, hp.iterations - boundary, start_iteration=boundary)
         return _finalize(state, spec, hp, started, stage_boundary=boundary or None)

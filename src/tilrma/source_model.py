@@ -2,17 +2,20 @@
 
 Each source n carries a nonnegative factorization of its scale tensor,
 ``sigma^p = T @ V`` with basis T (bins x bases) and activation V
-(bases x frames).  The domain exponent p in [1, 2] selects what the
-factorization models (p=2: power spectrogram, p=1: amplitude).  Updates
-are majorization-minimization steps under a heavy-tailed source
-likelihood with ``nu`` degrees of freedom, and take a source's estimate y
-only as its real power |y|^2.  The Gaussian (Itakura-Saito) model is the
-case ``nu = inf``, not a large finite value: nu=inf makes 2/nu exactly 0, so
-the t-model formulas reduce to the Gaussian ones bit for bit.
+(bases x frames).  A run keeps every source's factors as two stacks,
+``basis`` (sources, bins, bases) and ``activation`` (sources, bases,
+frames); the updates take one source's slices and change them in place.
+The domain exponent p in [1, 2] selects what the factorization models
+(p=2: power spectrogram, p=1: amplitude); it is the run's, and passed to
+every function that needs it.  Updates are majorization-minimization steps
+under a heavy-tailed source likelihood with ``nu`` degrees of freedom, and
+take a source's estimate y only as its real power |y|^2.  The Gaussian
+(Itakura-Saito) model is the case ``nu = inf``, not a large finite value:
+nu=inf makes 2/nu exactly 0, so the t-model formulas reduce to the Gaussian
+ones bit for bit.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,36 +37,33 @@ def scale_floor(p):
     return FLOOR ** (p / 2.0)
 
 
-@dataclass
-class NmfFactors:
-    """Nonnegative basis/activation pair with its domain exponent."""
+def init_factors(num_sources, num_bins, num_frames, num_bases, seed):
+    """Every source's factors, i.i.d. uniform on (FLOOR, 1], reproducibly from ``seed``.
 
-    basis: np.ndarray       # (num_bins, num_bases)
-    activation: np.ndarray  # (num_bases, num_frames)
-    p: float
-
-    def __post_init__(self):
-        if not 1.0 <= self.p <= 2.0:
-            raise ValueError(f"domain exponent p must lie in [1, 2], got {self.p}")
-        self.basis = np.asarray(self.basis, dtype=np.float64)
-        self.activation = np.asarray(self.activation, dtype=np.float64)
-
-
-def init_factors(num_bins, num_frames, num_bases, seed, p=2.0):
-    """Draw factors i.i.d. uniform on (FLOOR, 1], reproducibly from ``seed``."""
+    Source n draws its basis, then its activation, from stream n of
+    ``SeedSequence(seed).spawn(num_sources)``.  Returns the stacks
+    (basis, activation), (sources, bins, bases) and (sources, bases, frames).
+    """
     if num_bases < 1:
         raise ValueError("need at least one basis")
-    rng = np.random.default_rng(seed)
+    basis = np.empty((num_sources, num_bins, num_bases))
+    activation = np.empty((num_sources, num_bases, num_frames))
     span = 1.0 - FLOOR
-    basis = 1.0 - span * rng.random((num_bins, num_bases))
-    activation = 1.0 - span * rng.random((num_bases, num_frames))
-    return NmfFactors(basis, activation, p)
+    for stream, t, v in zip(np.random.SeedSequence(seed).spawn(num_sources), basis, activation):
+        rng = np.random.default_rng(stream)
+        t[...] = 1.0 - span * rng.random(t.shape)
+        v[...] = 1.0 - span * rng.random(v.shape)
+    return basis, activation
 
 
-def recompute_scale(factors, out=None):
-    """sigma^p tensor (bins x frames) for one source, floored; written to ``out`` if given."""
-    scale = np.matmul(factors.basis, factors.activation, out=out)
-    return np.maximum(scale, scale_floor(factors.p), out=scale)
+def recompute_scale(basis, activation, p, out=None):
+    """sigma^p = T @ V, floored; written to ``out`` if given.
+
+    Takes one source's factors, (bins, frames) out, or the stacks of all
+    sources, (sources, bins, frames) out.
+    """
+    scale = np.matmul(basis, activation, out=out)
+    return np.maximum(scale, scale_floor(p), out=scale)
 
 
 def sigma_squared(sigma_p, p, out=None):
@@ -102,100 +102,88 @@ def _weighted_power(power, sigma_p, p, nu, scratch):
     return np.divide(weighted, sigma_p, out=weighted)
 
 
-def _scratch(scratch, like):
-    return np.empty((2,) + like.shape) if scratch is None else scratch
-
-
-def update_bases(factors, power, sigma_p, nu, scratch=None):
-    """One multiplicative basis update for a single source.
+def update_bases(basis, activation, power, sigma_p, p, nu, scratch):
+    """One multiplicative basis update for a single source, in place.
 
     Parameters
     ----------
-    factors: NmfFactors
+    basis: ndarray (bins, bases)
+        Updated in place and floored.
+    activation: ndarray (bases, frames)
     power: ndarray (bins, frames)
         |y|^2 of this source's current estimate.
     sigma_p: ndarray (bins, frames)
         Current scale tensor of this source: the ``recompute_scale`` output
-        for ``factors``, possibly rescaled since by ``demix.normalize``,
+        for its factors, possibly rescaled since by ``demix.normalize``,
         which scales floored slots along with the rest.
+    p: float
+        Domain exponent of the factors.
     nu: float
         Degrees of freedom; ``inf`` selects the Gaussian rule.
-    scratch: ndarray (2, bins, frames), optional
-        Work planes, in place of fresh ones; see ``_weighted_power``.
-
-    Returns
-    -------
-    NmfFactors with the updated basis (activation shared, not copied).
+    scratch: ndarray (2, bins, frames)
+        Work planes; see ``_weighted_power``.
     """
-    p = factors.p
-    scratch = _scratch(scratch, power)
-    ratio_num = _weighted_power(power, sigma_p, p, nu, scratch) @ factors.activation.T
-    ratio_den = np.divide(1.0, sigma_p, out=scratch[0]) @ factors.activation.T
-    basis = factors.basis * (ratio_num / ratio_den) ** (p / (p + 2.0))
-    return NmfFactors(np.maximum(basis, FLOOR), factors.activation, p)
+    ratio = _weighted_power(power, sigma_p, p, nu, scratch) @ activation.T
+    ratio /= np.divide(1.0, sigma_p, out=scratch[0]) @ activation.T
+    ratio **= p / (p + 2.0)
+    basis *= ratio
+    np.maximum(basis, FLOOR, out=basis)
 
 
-def update_activations(factors, power, sigma_p, nu, scratch=None):
+def update_activations(basis, activation, power, sigma_p, p, nu, scratch):
     """Mirror of ``update_bases`` with the bin and frame roles swapped."""
-    p = factors.p
-    scratch = _scratch(scratch, power)
-    ratio_num = factors.basis.T @ _weighted_power(power, sigma_p, p, nu, scratch)
-    ratio_den = factors.basis.T @ np.divide(1.0, sigma_p, out=scratch[0])
-    activation = factors.activation * (ratio_num / ratio_den) ** (p / (p + 2.0))
-    return NmfFactors(factors.basis, np.maximum(activation, FLOOR), p)
+    ratio = basis.T @ _weighted_power(power, sigma_p, p, nu, scratch)
+    ratio /= basis.T @ np.divide(1.0, sigma_p, out=scratch[0])
+    ratio **= p / (p + 2.0)
+    activation *= ratio
+    np.maximum(activation, FLOOR, out=activation)
 
 
-def update_factors(factors, power, sigma_p, nu, scratch=None):
-    """One NMF step of a single source: basis update, scale refresh,
-    activation update, scale refresh.
+def update_factors(basis, activation, power, sigma_p, p, nu, scratch):
+    """One NMF step of a single source, in place: basis update, scale
+    refresh, activation update, scale refresh.
 
     ``sigma_p`` is refreshed in place after each half, so on return it is
-    ``recompute_scale`` of the returned factors.  ``power``, ``nu`` and
-    ``scratch`` are as in ``update_bases``.
+    ``recompute_scale`` of the updated factors.  The arguments are as in
+    ``update_bases``.
     """
-    factors = update_bases(factors, power, sigma_p, nu, scratch)
-    recompute_scale(factors, out=sigma_p)
-    factors = update_activations(factors, power, sigma_p, nu, scratch)
-    recompute_scale(factors, out=sigma_p)
-    return factors
+    update_bases(basis, activation, power, sigma_p, p, nu, scratch)
+    recompute_scale(basis, activation, p, out=sigma_p)
+    update_activations(basis, activation, power, sigma_p, p, nu, scratch)
+    recompute_scale(basis, activation, p, out=sigma_p)
 
 
-def convert_domain(factors, sigma_p, new_p, refit_iters=10, scratch=None):
-    """Re-express the scale model in a new domain exponent, refitting in place.
+def convert_domain(basis, activation, sigma_p, p, new_p, refit_iters, scratch):
+    """Re-express one source's scale model in a new domain exponent, in place.
 
     The scale tensor converts exactly, ``sigma^new_p = (sigma^p)^(new_p/p)``.
-    The factors cannot convert exactly for L > 1, so they are seeded with the
-    elementwise power of the old factors and refit to the converted tensor by
-    ``refit_iters`` rounds of ``update_factors`` in the Gaussian limit, with
+    The factors cannot convert exactly for L > 1, so each is raised to the
+    power new_p/p and refit to the converted tensor by ``refit_iters``
+    rounds of ``update_factors`` in the Gaussian limit, with
     ``target^(2/new_p)`` as the power they fit (so the refit objective is
     minimized exactly where the model meets the target).
 
     The target is taken from ``sigma_p``, which then holds ``recompute_scale``
-    of the returned factors.  ``scratch``, two (bins, frames) planes for the
-    refit's power and its update temporaries, saves fresh ones.  At an
-    unchanged exponent ``factors`` itself is returned and ``sigma_p`` left as is.
+    of the refit factors.  ``scratch`` is two (bins, frames) planes, for the
+    refit's power and its update temporaries.  At an unchanged exponent
+    nothing changes.
     """
     if not 1.0 <= new_p <= 2.0:
         raise ValueError(f"domain exponent p must lie in [1, 2], got {new_p}")
-    if new_p == factors.p:
-        return factors
+    if new_p == p:
+        return
 
-    exponent = new_p / factors.p
-    if scratch is None:
-        scratch = np.empty((2,) + sigma_p.shape)
+    exponent = new_p / p
     # target^(2/new_p), formed over the target, makes the fixed point sit at
     # T @ V = target
-    power = np.maximum(sigma_p, scale_floor(factors.p), out=scratch[0])
+    power = np.maximum(sigma_p, scale_floor(p), out=scratch[0])
     power **= exponent
     power = sigma_squared(power, new_p, out=power)
-    refit = NmfFactors(
-        np.maximum(factors.basis**exponent, FLOOR),
-        np.maximum(factors.activation**exponent, FLOOR),
-        new_p,
-    )
+    for factor in (basis, activation):
+        factor **= exponent
+        np.maximum(factor, FLOOR, out=factor)
     # nu=inf keeps the refit free of the dof parameter, and its updates to
     # one work plane
-    recompute_scale(refit, out=sigma_p)
+    recompute_scale(basis, activation, new_p, out=sigma_p)
     for _ in range(refit_iters):
-        refit = update_factors(refit, power, sigma_p, math.inf, scratch[1:])
-    return refit
+        update_factors(basis, activation, power, sigma_p, new_p, math.inf, scratch[1:])

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from tilrma.engine import _determinant_term, cost_value
-from tilrma.source_model import NmfFactors, recompute_scale
+from tilrma.source_model import recompute_scale
 from tilrma.stft import ComplexSpectrogram, StftConfig
 
 MAX_MIXING_CONDITION = 100.0
@@ -185,44 +185,44 @@ def check_jensen_inequality(z, mu, p):
     return lhs, rhs, lhs <= rhs + 1e-12 * max(1.0, abs(lhs))
 
 
-def optimal_auxiliaries(power, factors, nu):
+def optimal_auxiliaries(power, basis, activation, p, nu):
     """Auxiliary settings at which both surrogate bounds touch the cost.
 
-    ``power`` holds |y|^2 of every source, (sources, bins, frames).  Returns
+    ``power`` holds |y|^2 of every source, (sources, bins, frames);
+    ``basis`` and ``activation`` are the factor stacks, (sources, bins,
+    rank) and (sources, rank, frames), in domain exponent p.  Returns
     (alpha, beta, gamma) with shapes (bins, frames, sources) for the first
     two and (bins, frames, sources, rank) for gamma.
     """
     num_sources, num_bins, num_frames = power.shape
-    rank = factors[0].basis.shape[1]
+    rank = basis.shape[2]
     alpha = np.empty((num_bins, num_frames, num_sources))
     beta = np.empty_like(alpha)
     gamma = np.empty((num_bins, num_frames, num_sources, rank))
-    for n, fac in enumerate(factors):
-        model = fac.basis @ fac.activation
-        sig_sq = model ** (2.0 / fac.p)
+    for n, (t, v) in enumerate(zip(basis, activation)):
+        model = t @ v
+        sig_sq = model ** (2.0 / p)
         alpha[:, :, n] = 1.0 + (2.0 / nu) * power[n] / sig_sq
         beta[:, :, n] = model
-        gamma[:, :, n, :] = (
-            fac.basis[:, None, :] * fac.activation.T[None, :, :] / model[:, :, None]
-        )
+        gamma[:, :, n, :] = t[:, None, :] * v.T[None, :, :] / model[:, :, None]
     return alpha, beta, gamma
 
 
-def _surrogate(demixing, power, factors, nu, alpha, beta, bound):
+def _surrogate(demixing, power, basis, activation, p, nu, alpha, beta, bound):
     """The body both surrogates share.
 
-    ``bound(n, fac, model, scaled)`` returns the surrogate's bound on
-    scaled * sigma^-2 for source n, where scaled = (2/nu) |y|^2.
+    ``bound(n, t, v, model, scaled)`` returns the surrogate's bound on
+    scaled * sigma^-2 for source n with factors t and v, where
+    scaled = (2/nu) |y|^2.
     """
     if math.isinf(nu):
         raise ValueError("the surrogate bounds are defined for finite nu")
     num_frames = power.shape[2]
     total = _determinant_term(demixing, num_frames)
     half = 1.0 + nu / 2.0
-    for n, fac in enumerate(factors):
-        p = fac.p
-        model = fac.basis @ fac.activation
-        inner = 1.0 + bound(n, fac, model, (2.0 / nu) * power[n])
+    for n, (t, v) in enumerate(zip(basis, activation)):
+        model = t @ v
+        inner = 1.0 + bound(n, t, v, model, (2.0 / nu) * power[n])
         a = alpha[:, :, n]
         b = beta[:, :, n]
         total += float(
@@ -235,22 +235,22 @@ def _surrogate(demixing, power, factors, nu, alpha, beta, bound):
     return total
 
 
-def majorizer_tangent(demixing, power, factors, nu, alpha, beta):
+def majorizer_tangent(demixing, power, basis, activation, p, nu, alpha, beta):
     """Surrogate obtained by tangent-line bounds on both log terms."""
-    def bound(n, fac, model, scaled):
-        return scaled / model ** (2.0 / fac.p)
+    def bound(n, t, v, model, scaled):
+        return scaled / model ** (2.0 / p)
 
-    return _surrogate(demixing, power, factors, nu, alpha, beta, bound)
+    return _surrogate(demixing, power, basis, activation, p, nu, alpha, beta, bound)
 
 
-def majorizer_jensen(demixing, power, factors, nu, alpha, beta, gamma):
+def majorizer_jensen(demixing, power, basis, activation, p, nu, alpha, beta, gamma):
     """Surrogate with the coupled sigma^-2 term additionally split by Jensen."""
-    def bound(n, fac, model, scaled):
-        e = 2.0 / fac.p
-        tv = fac.basis[:, None, :] * fac.activation.T[None, :, :]  # (bins, frames, rank)
+    def bound(n, t, v, model, scaled):
+        e = 2.0 / p
+        tv = t[:, None, :] * v.T[None, :, :]  # (bins, frames, rank)
         return scaled * np.sum(gamma[:, :, n, :] ** (e + 1.0) * tv ** (-e), axis=2)
 
-    return _surrogate(demixing, power, factors, nu, alpha, beta, bound)
+    return _surrogate(demixing, power, basis, activation, p, nu, alpha, beta, bound)
 
 
 @dataclass
@@ -264,21 +264,24 @@ class MajorizerTouchReport:
     dominance_ok: bool
 
 
-def random_state(seed, num_bins=4, num_frames=5, num_sources=2, rank=2, p=1.5):
-    """Small random (W, |Y|^2, factors) tuple for oracle checks; |Y|^2 is
-    (sources, bins, frames), the power of circular complex Gaussian estimates."""
+def random_state(seed, num_bins=4, num_frames=5, num_sources=2, rank=2):
+    """Small random (W, |Y|^2, basis, activation) tuple for oracle checks.
+
+    |Y|^2 is (sources, bins, frames), the power of circular complex Gaussian
+    estimates; the factor stacks are (sources, bins, rank) and (sources,
+    rank, frames), each source's basis drawn before its activation.
+    """
     rng = np.random.default_rng(seed)
     demixing = rng.standard_normal((num_bins, num_sources, num_sources, 2))
     demixing = demixing[..., 0] + 1j * demixing[..., 1]
     parts = rng.standard_normal((num_bins, num_frames, num_sources, 2))
     power = np.moveaxis(parts[..., 0] ** 2 + parts[..., 1] ** 2, 2, 0)
-    factors = [
-        NmfFactors(
-            0.1 + rng.random((num_bins, rank)), 0.1 + rng.random((rank, num_frames)), p
-        )
-        for _ in range(num_sources)
-    ]
-    return demixing, power, factors
+    basis = np.empty((num_sources, num_bins, rank))
+    activation = np.empty((num_sources, rank, num_frames))
+    for t, v in zip(basis, activation):
+        t[...] = 0.1 + rng.random(t.shape)
+        v[...] = 0.1 + rng.random(v.shape)
+    return demixing, power, basis, activation
 
 
 def check_majorizer_touch(seed, nu, p, num_bins=4, num_frames=5, num_sources=2, rank=2,
@@ -289,12 +292,13 @@ def check_majorizer_touch(seed, nu, p, num_bins=4, num_frames=5, num_sources=2, 
     to ``tol`` (relative); at perturbed auxiliaries the chain
     cost <= tangent surrogate <= Jensen surrogate must hold.
     """
-    demixing, power, factors = random_state(seed, num_bins, num_frames, num_sources, rank, p)
-    sigma_p = np.stack([recompute_scale(f) for f in factors])
+    demixing, power, basis, activation = random_state(seed, num_bins, num_frames,
+                                                      num_sources, rank)
+    sigma_p = recompute_scale(basis, activation, p)
     exact = cost_value(demixing, power, sigma_p, nu, p)
-    alpha, beta, gamma = optimal_auxiliaries(power, factors, nu)
-    tangent = majorizer_tangent(demixing, power, factors, nu, alpha, beta)
-    jensen = majorizer_jensen(demixing, power, factors, nu, alpha, beta, gamma)
+    alpha, beta, gamma = optimal_auxiliaries(power, basis, activation, p, nu)
+    tangent = majorizer_tangent(demixing, power, basis, activation, p, nu, alpha, beta)
+    jensen = majorizer_jensen(demixing, power, basis, activation, p, nu, alpha, beta, gamma)
 
     scale = max(1.0, abs(exact))
     tangent_gap = abs(tangent - exact) / scale
@@ -306,8 +310,10 @@ def check_majorizer_touch(seed, nu, p, num_bins=4, num_frames=5, num_sources=2, 
     beta_pert = beta * (0.5 + 0.4 * rng.random(beta.shape))
     gamma_pert = gamma * (0.2 + rng.random(gamma.shape))
     gamma_pert /= np.sum(gamma_pert, axis=3, keepdims=True)
-    tangent_pert = majorizer_tangent(demixing, power, factors, nu, alpha_pert, beta_pert)
-    jensen_pert = majorizer_jensen(demixing, power, factors, nu, alpha_pert, beta_pert, gamma_pert)
+    tangent_pert = majorizer_tangent(demixing, power, basis, activation, p, nu, alpha_pert,
+                                     beta_pert)
+    jensen_pert = majorizer_jensen(demixing, power, basis, activation, p, nu, alpha_pert,
+                                   beta_pert, gamma_pert)
     slack = tol * scale
     dominance_ok = exact <= tangent_pert + slack and tangent_pert <= jensen_pert + slack
 

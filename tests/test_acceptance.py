@@ -80,12 +80,7 @@ def reference_gaussian_ilrma(values, num_bases, seed, iterations):
     num_bins, num_frames, num_channels = values.shape
     num_sources = num_channels
     w_stack = np.tile(np.eye(num_sources, dtype=complex), (num_bins, 1, 1))
-    streams = np.random.SeedSequence(seed).spawn(num_sources)
-    basis, activation = [], []
-    for n in range(num_sources):
-        f = init_factors(num_bins, num_frames, num_bases, streams[n], p=2.0)
-        basis.append(f.basis.copy())
-        activation.append(f.activation.copy())
+    basis, activation = init_factors(num_sources, num_bins, num_frames, num_bases, seed)
     variance = [np.maximum(basis[n] @ activation[n], floor) for n in range(num_sources)]
     eye = np.eye(num_sources, dtype=complex)
     trajectory = []
@@ -196,11 +191,11 @@ def test_criterion_5_structural_identities():
         engine._ip_sweep(state, nu, p, k)
         engine._refresh_power(state)
         for n in range(2):
-            state.factors[n] = update_factors(state.factors[n], state.power[n],
-                                              state.sigma_p[n], nu)
+            update_factors(state.basis[n], state.activation[n], state.power[n],
+                           state.sigma_p[n], p, nu, state.work[n])
         before = cost_value(state.demixing, state.power, state.sigma_p, nu, p)
         for n in range(2):
-            demix.normalize(state.demixing, state.power, state.sigma_p, state.factors, n)
+            demix.normalize(state.demixing, state.power, state.sigma_p, state.basis, p, n)
         after = cost_value(state.demixing, state.power, state.sigma_p, nu, p)
         worst_invariance = max(worst_invariance, abs(after - before) / abs(before))
         y = np.einsum("inm,ijm->ijn", state.demixing, state.obs)

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from pathlib import Path
 
@@ -205,6 +206,24 @@ class TestUsage:
             with pytest.raises(SystemExit) as info:
                 cli.main(["separate", str(mix_path), "--nu", nu])
             assert info.value.code == 2
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--p", "3"], "p must"),
+        (["--seed", "-1"], "seed"),
+        (["--bases", "0"], "num_bases"),
+        (["--two-stage", "--stage1-iters", "0"], "gaussian_iters"),
+    ])
+    def test_bad_hyperparameter_is_usage_error(self, tmp_path, capsys, flags, named):
+        # the input does not exist: the value is rejected before any file is read
+        with pytest.raises(SystemExit) as info:
+            cli.main(["separate", str(tmp_path / "missing.wav"), *flags])
+        assert info.value.code == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["inf", "Infinity"])
+    def test_nu_reads_infinity(self, text):
+        args = cli.build_parser().parse_args(["separate", "x.wav", "--nu", text])
+        assert args.nu == math.inf
 
     def test_seed_env_fallback(self, monkeypatch):
         monkeypatch.setenv("TILRMA_SEED", "77")

@@ -7,7 +7,7 @@ import synthetic
 from tilrma import demix, engine
 from tilrma.engine import HyperParams, cost_value
 from tilrma.errors import DegenerateSourceError, SingularMatrixError
-from tilrma.source_model import NmfFactors, recompute_scale, scale_floor
+from tilrma.source_model import recompute_scale, scale_floor
 
 
 def random_complex(rng, *shape):
@@ -215,24 +215,23 @@ def build_state(rng, num_bins=5, num_frames=8, num_sources=2, p=2.0):
     w_stack = random_complex(rng, num_bins, num_sources, num_sources)
     y = random_complex(rng, num_bins, num_frames, num_sources)
     power = np.moveaxis(np.abs(y) ** 2, 2, 0)
-    factors = [
-        NmfFactors(
-            0.1 + rng.random((num_bins, 2)), 0.1 + rng.random((2, num_frames)), p
-        )
-        for _ in range(num_sources)
-    ]
-    sigma_p = np.stack([recompute_scale(f) for f in factors])
-    return w_stack, power, factors, sigma_p
+    basis = np.empty((num_sources, num_bins, 2))
+    activation = np.empty((num_sources, 2, num_frames))
+    for t, v in zip(basis, activation):
+        t[...] = 0.1 + rng.random(t.shape)
+        v[...] = 0.1 + rng.random(v.shape)
+    sigma_p = recompute_scale(basis, activation, p)
+    return w_stack, power, basis, activation, sigma_p
 
 
 class TestNormalize:
     def test_unit_power_is_fixed_point(self):
         rng = np.random.default_rng(7)
-        w_stack, power, factors, sigma_p = build_state(rng)
+        w_stack, power, basis, _, sigma_p = build_state(rng)
         for n in range(2):
             power[n] /= np.mean(power[n])
         w0, power0, s0 = w_stack.copy(), power.copy(), sigma_p.copy()
-        eta = [demix.normalize(w_stack, power, sigma_p, factors, n) for n in range(2)]
+        eta = [demix.normalize(w_stack, power, sigma_p, basis, 2.0, n) for n in range(2)]
         assert np.allclose(eta, 1.0, atol=1e-12)
         assert np.allclose(w_stack, w0, rtol=1e-12)
         assert np.allclose(power, power0, rtol=1e-12)
@@ -240,23 +239,22 @@ class TestNormalize:
 
     def test_inverse_scaling_restores_state(self):
         rng = np.random.default_rng(8)
-        w_stack, power, factors, sigma_p = build_state(rng)
-        for n in range(2):  # reach unit power first
-            demix.normalize(w_stack, power, sigma_p, factors, n)
-        w0, power0, s0 = w_stack.copy(), power.copy(), sigma_p.copy()
-        b0 = [f.basis.copy() for f in factors]
+        n, p = 0, 2.0
+        w_stack, power, basis, _, sigma_p = build_state(rng, p=p)
+        for k in range(2):  # reach unit power first
+            demix.normalize(w_stack, power, sigma_p, basis, p, k)
+        w0, power0, s0, b0 = w_stack.copy(), power.copy(), sigma_p.copy(), basis.copy()
 
-        n, p = 0, factors[0].p
         w_stack[:, n, :] *= 2.0
         power[n] *= 2.0**2
         sigma_p[n] *= 2.0**p
-        factors[n].basis *= 2.0**p
-        eta = [demix.normalize(w_stack, power, sigma_p, factors, k) for k in range(2)]
+        basis[n] *= 2.0**p
+        eta = [demix.normalize(w_stack, power, sigma_p, basis, p, k) for k in range(2)]
         assert eta[n] == pytest.approx(2.0, rel=1e-12)
         assert np.allclose(w_stack, w0, rtol=1e-12)
         assert np.allclose(power, power0, rtol=1e-12)
         assert np.allclose(sigma_p, s0, rtol=1e-12)
-        assert np.allclose(factors[n].basis, b0[n], rtol=1e-12)
+        assert np.allclose(basis[n], b0[n], rtol=1e-12)
 
     @pytest.mark.parametrize(
         "nu,p,floored",
@@ -270,42 +268,39 @@ class TestNormalize:
     )
     def test_cost_invariance(self, nu, p, floored):
         rng = np.random.default_rng(9)
-        w_stack, power, factors, sigma_p = build_state(rng, p=p)
+        w_stack, power, basis, activation, sigma_p = build_state(rng, p=p)
         if floored:
-            factors[0].basis[1] = 0.0
-            sigma_p = np.stack([recompute_scale(f) for f in factors])
+            basis[0, 1] = 0.0
+            sigma_p = recompute_scale(basis, activation, p)
             assert np.all(sigma_p[0, 1] == scale_floor(p))
             power *= 3.0**2 / np.mean(power)
         before = cost_value(w_stack, power, sigma_p, nu, p)
         for n in range(2):
-            demix.normalize(w_stack, power, sigma_p, factors, n)
+            demix.normalize(w_stack, power, sigma_p, basis, p, n)
         after = cost_value(w_stack, power, sigma_p, nu, p)
         assert after == pytest.approx(before, rel=1e-9)
 
     def test_degenerate_source_raises(self):
         rng = np.random.default_rng(10)
-        w_stack, power, factors, sigma_p = build_state(rng)
+        w_stack, power, basis, _, sigma_p = build_state(rng)
         power[1] = 0.0
         with pytest.raises(DegenerateSourceError, match="source 1"):
-            demix.normalize(w_stack, power, sigma_p, factors, 1)
+            demix.normalize(w_stack, power, sigma_p, basis, 2.0, 1)
 
     def test_other_sources_are_untouched(self):
         rng = np.random.default_rng(12)
-        w_stack, power, factors, sigma_p = build_state(rng, num_sources=3, p=1.0)
+        w_stack, power, basis, activation, sigma_p = build_state(rng, num_sources=3, p=1.0)
         power *= 5.0  # so that eta is not 1
         w0, power0, s0 = w_stack.copy(), power.copy(), sigma_p.copy()
-        b0 = [f.basis.copy() for f in factors]
-        a0 = [f.activation.copy() for f in factors]
+        b0, a0 = basis.copy(), activation.copy()
         n = 1
-        demix.normalize(w_stack, power, sigma_p, factors, n)
+        demix.normalize(w_stack, power, sigma_p, basis, 1.0, n)
         others = [0, 2]
         assert w_stack[:, others].tobytes() == w0[:, others].tobytes()
         assert power[others].tobytes() == power0[others].tobytes()
         assert sigma_p[others].tobytes() == s0[others].tobytes()
-        for k in others:
-            assert factors[k].basis.tobytes() == b0[k].tobytes()
-        for k in range(3):
-            assert factors[k].activation.tobytes() == a0[k].tobytes()
+        assert basis[others].tobytes() == b0[others].tobytes()
+        assert activation.tobytes() == a0.tobytes()
         assert not np.array_equal(w_stack[:, n], w0[:, n])
 
 

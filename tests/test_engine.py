@@ -171,12 +171,7 @@ def reference_t_ilrma(values, num_bases, seed, nu, p, iterations):
     floor = 1e-12
     num_bins, num_frames, num_sources = values.shape
     w_stack = np.tile(np.eye(num_sources, dtype=complex), (num_bins, 1, 1))
-    streams = np.random.SeedSequence(seed).spawn(num_sources)
-    basis, activation = [], []
-    for n in range(num_sources):
-        f = init_factors(num_bins, num_frames, num_bases, streams[n], p=p)
-        basis.append(f.basis.copy())
-        activation.append(f.activation.copy())
+    basis, activation = init_factors(num_sources, num_bins, num_frames, num_bases, seed)
     scale = [np.maximum(basis[n] @ activation[n], floor ** (p / 2)) for n in range(num_sources)]
     eye = np.eye(num_sources, dtype=complex)
     estimates = np.einsum("inm,ijm->ijn", w_stack, values)
@@ -464,7 +459,7 @@ class TestPool:
         calls = []
         both_sources = threading.Barrier(2, timeout=30)
 
-        def failing_update(factors, *args):
+        def failing_update(*args):
             calls.append(None)
             if len(calls) > 4:  # the third iteration of a two-source run
                 # each thread holds one source until the other arrives, so a
@@ -472,7 +467,7 @@ class TestPool:
                 both_sources.wait()
                 if threading.current_thread().name.startswith("tilrma"):
                     raise TilrmaError("source model failed in a pool thread")
-            return real_update(factors, *args)
+            return real_update(*args)
 
         monkeypatch.setattr(engine, "update_factors", failing_update)
         _, spec = small_scene_spec(5)

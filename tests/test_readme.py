@@ -2,13 +2,16 @@ import argparse
 import json
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 
 from tilrma import cli, wavio
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def code_block(heading, language):
@@ -69,3 +72,16 @@ def test_result_file_keys_match_readme(tmp_path):
     documented = re.findall(r"^(\w+) ", code_block("Result file", ""), re.M)
     report = json.loads((out / "result.json").read_text())
     assert list(report) == documented
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # README: "Only `numpy` is required at runtime"; a fresh interpreter
+    # counts the top-level modules that ``import tilrma`` loads
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+            "import tilrma; "
+            "print(json.dumps([name.partition('.')[0] for name in set(sys.modules) - before]))")
+    done = subprocess.run([sys.executable, "-c", code, str(ROOT / "src")], capture_output=True,
+                          text=True, check=True, timeout=120)
+    loaded = set(json.loads(done.stdout))
+    assert "tilrma" in loaded
+    assert loaded - set(sys.stdlib_module_names) <= {"numpy", "tilrma"}, loaded

@@ -148,11 +148,12 @@ class TestMajorizerTouch:
         assert report.jensen_at_touch == pytest.approx(report.cost, rel=1e-12)
 
     def test_perturbed_alpha_strictly_increases_surrogate(self):
-        demixing, estimates, factors = synthetic.random_state(3, p=1.5)
-        alpha, beta, _ = synthetic.optimal_auxiliaries(estimates, factors, nu=4.0)
-        at_touch = synthetic.majorizer_tangent(demixing, estimates, factors, 4.0, alpha, beta)
+        demixing, estimates, basis, activation = synthetic.random_state(3)
+        factors = (basis, activation, 1.5)
+        alpha, beta, _ = synthetic.optimal_auxiliaries(estimates, *factors, nu=4.0)
+        at_touch = synthetic.majorizer_tangent(demixing, estimates, *factors, 4.0, alpha, beta)
         perturbed = synthetic.majorizer_tangent(
-            demixing, estimates, factors, 4.0, alpha * 1.1, beta
+            demixing, estimates, *factors, 4.0, alpha * 1.1, beta
         )
         assert perturbed > at_touch
 
@@ -166,10 +167,11 @@ class TestMajorizerTouch:
             assert report.dominance_ok, (nu, p, report)
 
     def test_gaussian_has_no_surrogate(self):
-        demixing, estimates, factors = synthetic.random_state(0)
-        alpha, beta, _ = synthetic.optimal_auxiliaries(estimates, factors, nu=2.0)
+        demixing, estimates, basis, activation = synthetic.random_state(0)
+        factors = (basis, activation, 1.5)
+        alpha, beta, _ = synthetic.optimal_auxiliaries(estimates, *factors, nu=2.0)
         with pytest.raises(ValueError):
-            synthetic.majorizer_tangent(demixing, estimates, factors, math.inf, alpha, beta)
+            synthetic.majorizer_tangent(demixing, estimates, *factors, math.inf, alpha, beta)
 
 
 class TestOracleSuite:
