@@ -104,13 +104,11 @@ def cmd_separate(args, hyper):
     samples, rate = wavio.read_wav(args.input)
     num_channels = samples.shape[1]
     ref_channel = args.ref_channel - 1
-    if not 0 <= ref_channel < num_channels:
+    if ref_channel >= num_channels:
         raise TilrmaError(f"reference channel {args.ref_channel} out of range")
     if not np.all(np.isfinite(samples)):
         raise TilrmaError("input samples must be finite")
     # evaluation inputs are checked before separating, so a bad one leaves no output
-    if args.taps < 1:
-        raise TilrmaError("--taps must be at least 1")
     refs = []
     if args.refs:
         if len(args.refs) != num_channels:
@@ -144,19 +142,26 @@ def cmd_separate(args, hyper):
 
     started = time.perf_counter()
     spec = analyze(samples, stft)
+    # of the input, only the reference channel's scored span is kept
+    mixture = samples[:length, ref_channel].copy() if refs else None
+    del samples
     result = engine.separate(spec, hyper)
+    del spec  # the engine has formed y; the observation is not needed again
     # created only now, so an input the engine rejects leaves no directory behind
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    # one source at a time: its image, its signal and its file
     source_paths = []
-    source_signals = []
-    for n, image in enumerate(result.images):
-        signal = synthesize(image)
-        source_signals.append(signal)
+    estimates = []
+    for n in range(result.num_sources):
+        signal = synthesize(result.image(n))
         path = out_dir / f"source_{n + 1}.wav"
         wavio.write_wav(path, signal, rate, "float32")
         source_paths.append(str(path))
+        if refs:
+            estimates.append(signal[:length, ref_channel].copy())
+        del signal
 
     report = {
         "schema_version": RESULT_SCHEMA_VERSION,
@@ -184,11 +189,8 @@ def cmd_separate(args, hyper):
     }
 
     if refs:
-        estimates = [sig[:length, ref_channel] for sig in source_signals]
-        eval_report = metrics.align_permutation(
-            refs, estimates, taps=args.taps,
-            mixture=samples[:length, ref_channel],
-        )
+        eval_report = metrics.align_permutation(refs, estimates, taps=args.taps,
+                                                mixture=mixture)
         report["evaluation"] = {
             "taps": args.taps,
             "reference_channel": args.ref_channel,
@@ -211,6 +213,13 @@ def main(argv=None):
     if not args.two_stage and (
             args.stage1_iters is not None or args.refit_iters is not None):
         parser.error("--stage1-iters and --refit-iters need --two-stage")
+    # checked before the input is read, so a bad value is named as such
+    for flag, value in (("--window-ms", args.window_ms), ("--shift-ms", args.shift_ms)):
+        if not value > 0:
+            parser.error(f"{flag} must be positive, got {value:g}")
+    for flag, value in (("--taps", args.taps), ("--ref-channel", args.ref_channel)):
+        if value < 1:
+            parser.error(f"{flag} must be at least 1, got {value}")
     try:
         hyper = _build_hyper(args)
     except ValueError as exc:  # checked before any input is read

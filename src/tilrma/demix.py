@@ -199,16 +199,8 @@ def normalize(w_stack, power, sigma_p, basis, p, n):
     return eta
 
 
-def back_project(w_stack, y_values, n):
-    """Multichannel image of source n.
-
-    y_hat_ij = W_i^-1 (e_n o y_ij) reduces to y_ij,n times column n of
-    W_i^-1, since the masked vector has a single nonzero entry; that column
-    is the solution of W_i v = e_n.
-
-    Returns
-    -------
-    ndarray (bins, frames, channels), complex.
+def mixing_column(w_stack, n):
+    """Column n of every W_i^-1, (bins, M): the solution of W_i v = e_n.
 
     Raises
     ------
@@ -220,4 +212,18 @@ def back_project(w_stack, y_values, n):
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
         raise SingularMatrixError(f"bin {i}: demixing matrix has no finite inverse")
+    return mix_col
+
+
+def back_project(y_values, mix_col, n):
+    """Multichannel image of source n.
+
+    y_hat_ij = W_i^-1 (e_n o y_ij) reduces to y_ij,n times column n of
+    W_i^-1, since the masked vector has a single nonzero entry; ``mix_col``
+    is that column, as ``mixing_column`` returns it.
+
+    Returns
+    -------
+    ndarray (bins, frames, channels), complex.
+    """
     return y_values[:, :, n, None] * mix_col[:, None, :]

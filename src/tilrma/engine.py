@@ -12,7 +12,9 @@ rescaling and cost term.  Each piece is a majorization-minimization step
 conditioned on a freshly touched surrogate, so the cost recorded after every
 iteration never increases within a stage.  All of it sees y = W x only
 through the real power |y|^2 that the run state carries; y exists only in
-the power refresh and the back-projection.
+the power refresh and the back-projection.  The result holds y and column n
+of every W_i^-1 for each source, and builds one source's image when asked,
+so a caller that writes the sources in turn holds one image at a time.
 
 Work that is independent across sources or bins runs on a thread pool with
 one thread per CPU the process may use, at most MAX_WORKERS (numpy releases
@@ -20,10 +22,16 @@ the interpreter lock inside its array loops and BLAS calls).  The sweep's
 weighted covariances run a source and a block of bins per task (the row
 solves that use them stay sequential), the power refresh a block of bins
 per task, and the source step, the domain refit and the head residual one
-task per source.  Every task does the same arithmetic in the same order as
-a serial run and writes only its own slice of the run state and its own
-work planes, so the output is byte-identical for any thread count.  With
-one CPU the calling thread runs every task itself.
+task per source.  Each thread owns two work planes of (bins, frames) reals
+and lends them to every task it runs.  Every task does the same arithmetic
+in the same order as a serial run and writes only its own slice of the run
+state and its thread's planes, so the output is byte-identical for any
+thread count.  With one CPU the calling thread runs every task itself.
+
+A run holds, per bin and frame, the observation (16M bytes at M sources),
+its outer products (8M^2), the power and the scales (16M) and the work
+planes (16 per worker).  ``separate`` checks that total against the memory
+the process may use before it allocates any of it.
 """
 
 import itertools
@@ -44,7 +52,7 @@ from .source_model import (
     sigma_squared,
     update_factors,
 )
-from .stft import ComplexSpectrogram
+from .stft import ComplexSpectrogram, StftConfig
 
 # Relative eigenvalue below which the channel Gram counts as rank-deficient.
 RANK_TOLERANCE = 1e-12
@@ -52,6 +60,14 @@ RANK_TOLERANCE = 1e-12
 # Most workers a run uses, the calling thread included: the largest count at
 # which separation time and peak memory have been measured.
 MAX_WORKERS = 2
+
+# Bin-frame slots per block of the channel check's Gram.
+RANK_BLOCK = 1 << 16
+
+# Read, never written, for the memory the process may use: the kernel's
+# estimate of memory available without swapping, and the cgroup v2 limit.
+MEMINFO = "/proc/meminfo"
+CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"
 
 
 @dataclass(frozen=True)
@@ -129,9 +145,9 @@ class RunState:
     basis: np.ndarray      # (sources, bins, bases), T of every source
     activation: np.ndarray  # (sources, bases, frames), V of every source
     sigma_p: np.ndarray    # (sources, bins, frames), floored T @ V, rescaled since
-    # (sources, 2, bins, frames): two work planes per source for its pooled
-    # tasks; together they hold exactly one complex value per bin, frame and
-    # source, which the power refresh uses for y
+    # (workers, 2, bins, frames): two work planes per thread, lent to every
+    # pooled task it runs; a pair holds one complex value per bin and frame,
+    # which the power refresh fills with y a block of bins at a time
     work: np.ndarray
     pool: ThreadPoolExecutor | None = None  # helper threads; unused at one worker
     workers: int = 1
@@ -141,12 +157,30 @@ class RunState:
 
 @dataclass
 class SeparationResult:
-    """Back-projected images plus everything needed to reproduce the run."""
+    """The demixed signals, the back-projection columns and everything needed
+    to reproduce the run.
 
-    images: list           # per-source ComplexSpectrogram, (bins, frames, channels)
-    demixing: np.ndarray
+    ``image(n)`` builds source n's multichannel image on demand, so a caller
+    that handles the sources in turn holds one image at a time.  The images
+    sum to the observation.
+    """
+
+    demixed: np.ndarray    # (bins, frames, sources), y_ij = W_i x_ij
+    mixing: list           # per source n, column n of every W_i^-1, (bins, channels)
+    demixing: np.ndarray   # (bins, sources, sources)
     cost_trace: np.ndarray
     metadata: dict
+    config: StftConfig     # of the observation, for its images
+    num_samples: int
+
+    @property
+    def num_sources(self):
+        return self.demixed.shape[2]
+
+    def image(self, n):
+        """Source n back-projected to every channel, as a ``ComplexSpectrogram``."""
+        return ComplexSpectrogram(demix.back_project(self.demixed, self.mixing[n], n),
+                                  self.config, self.num_samples)
 
 
 def log_abs_det(demixing):
@@ -220,26 +254,28 @@ def _worker_count():
 
 
 def _run(state, task, items):
-    """``[task(item) for item in items]``, shared by the calling thread and the pool.
+    """``[task(item, planes) for item in items]``, shared by the calling thread and the pool.
 
     Each thread claims the next unclaimed item until none is left, so a
     thread that is slow to wake or to run leaves its share to the others.
-    Every task finishes before the first failure, in item order, is raised,
-    so no task still writes into the run state when the caller sees it.
+    ``planes`` is the running thread's pair of work planes: ``state.work[0]``
+    for the calling thread, the next pair for each pool thread.  Every task
+    finishes before the first failure, in item order, is raised, so no task
+    still writes into the run state when the caller sees it.
     """
     items = list(items)
     outcomes = [None] * len(items)
     claims = itertools.count()  # next() runs under the interpreter lock: one claim per item
 
-    def drain():
+    def drain(planes):
         while (k := next(claims)) < len(items):
             try:
-                outcomes[k] = task(items[k]), None
+                outcomes[k] = task(items[k], planes), None
             except Exception as exc:  # raised below, in item order
                 outcomes[k] = None, exc
 
-    helpers = [state.pool.submit(drain) for _ in range(state.workers - 1)]
-    drain()
+    helpers = [state.pool.submit(drain, planes) for planes in state.work[1:]]
+    drain(state.work[0])
     wait(helpers)
     for helper in helpers:
         helper.result()
@@ -267,23 +303,35 @@ def _demixed(state):
 def _refresh_power(state):
     """Set ``state.power`` to |W_i x_ij|^2, a block of bins per task.
 
-    y is formed in the work planes, viewed as one complex
-    (bins, frames, sources) array, so the refresh allocates nothing.
+    A pair of work planes holds bins x frames complex values, so each task
+    forms y of at most bins // M bins in its thread's planes, then squares
+    its magnitude into each source's contiguous slice of ``state.power``
+    (squaring in place through a strided view would copy it), and the
+    refresh allocates nothing.  The blocks come in a multiple of the worker
+    count, which keeps the threads evenly loaded.  Each bin's product is the
+    same for any split of the bins.
     """
-    y = state.work.reshape(-1).view(np.complex128).reshape(state.obs.shape)
-    power = np.moveaxis(state.power, 0, 2)
+    num_bins, _, m = state.obs.shape
+    fitting = -(-num_bins // max(num_bins // m, 1))  # fewest blocks the planes hold
+    parts = -(-fitting // state.workers) * state.workers
 
-    def refresh(bins):
-        np.matmul(state.obs[bins], state.demixing[bins].transpose(0, 2, 1), out=y[bins])
-        np.absolute(y[bins], out=power[bins])
-        np.square(power[bins], out=power[bins])
+    def refresh(bins, planes):
+        obs = state.obs[bins]
+        held = planes.reshape(-1).view(np.complex128)
+        # fewer bins than sources: a one-bin block does not fit, and matmul allocates
+        y = held[:obs.size].reshape(obs.shape) if obs.size <= held.size else None
+        y = np.matmul(obs, state.demixing[bins].transpose(0, 2, 1), out=y)
+        for n, power in enumerate(state.power[:, bins]):
+            np.absolute(y[:, :, n], out=power)
+            np.square(power, out=power)
 
-    _run(state, refresh, _bin_blocks(state.obs.shape[0], state.workers))
+    _run(state, refresh, _bin_blocks(num_bins, parts))
 
 
-def _covariance(state, n, nu, p, bins=slice(None)):
-    """Weighted covariances of source n in the given bins, (bins, M, M), via its work planes."""
-    work = state.work[n, :, bins]
+def _covariance(state, n, nu, p, planes, bins=slice(None)):
+    """Weighted covariances of source n in the given bins, (bins, M, M), formed
+    in the given pair of work planes."""
+    work = planes[:, bins]
     sig_sq = sigma_squared(state.sigma_p[n, bins], p, out=work[0])
     return demix.weighted_covariance(state.stats[bins], state.power[n, bins], sig_sq, nu,
                                      scratch=work[1])
@@ -301,9 +349,9 @@ def _ip_sweep(state, nu, p, iteration):
     """
     covs = np.empty((len(state.basis),) + state.demixing.shape, dtype=np.complex128)
 
-    def covariance(task):
+    def covariance(task, planes):
         n, bins = task
-        covs[n, bins] = _covariance(state, n, nu, p, bins)
+        covs[n, bins] = _covariance(state, n, nu, p, planes, bins)
 
     blocks = _bin_blocks(state.obs.shape[0], state.workers)
     _run(state, covariance, [(n, bins) for n in _sources(state) for bins in blocks])
@@ -334,11 +382,11 @@ def _source_step(state, nu, p):
     """One NMF step, rescaling and cost term per source; returns the cost,
     summed as ``cost_value`` sums it."""
 
-    def step(n):
+    def step(n, planes):
         update_factors(state.basis[n], state.activation[n], state.power[n], state.sigma_p[n],
-                       p, nu, state.work[n])
+                       p, nu, planes)
         demix.normalize(state.demixing, state.power, state.sigma_p, state.basis, p, n)
-        return _source_cost(state.power[n], state.sigma_p[n], nu, p, state.work[n])
+        return _source_cost(state.power[n], state.sigma_p[n], nu, p, planes)
 
     terms = _run(state, step, _sources(state))
     total = _determinant_term(state.demixing, state.power.shape[2])
@@ -350,9 +398,9 @@ def _source_step(state, nu, p):
 def _switch_domain(state, p, new_p, refit_iters):
     """Convert every source's scale model from exponent p to new_p, refitting its factors."""
 
-    def refit(n):
+    def refit(n, planes):
         convert_domain(state.basis[n], state.activation[n], state.sigma_p[n], p, new_p,
-                       refit_iters, state.work[n])
+                       refit_iters, planes)
 
     _run(state, refit, _sources(state))
 
@@ -380,7 +428,7 @@ def _init_state(spec, hp, p, pool=None, workers=1):
         basis=basis,
         activation=activation,
         sigma_p=recompute_scale(basis, activation, p),
-        work=np.empty((num_sources, 2, num_bins, num_frames)),
+        work=np.empty((workers, 2, num_bins, num_frames)),
         pool=pool,
         workers=workers,
     )
@@ -391,13 +439,23 @@ def _init_state(spec, hp, p, pool=None, workers=1):
 def _check_channel_rank(values):
     """Reject channels that are silent or copies of one another.
 
-    The M x M channel Gram is taken of the peak-normalized spectrogram, so no
-    input level overflows or underflows it.  When its smallest eigenvalue is
-    at most RANK_TOLERANCE times the largest, W is singular in every bin; the
-    message names the silent channels, or else those in the null direction.
+    The M x M channel Gram is summed over blocks of bins, each scaled by the
+    power of two that brings the largest real or imaginary part into
+    [0.5, 1).  That scaling is exact, so no input level overflows or
+    underflows the Gram, and no copy is larger than a block.  When its
+    smallest eigenvalue is at most RANK_TOLERANCE times the largest, W is
+    singular in every bin; the message names the silent channels, or else
+    those in the null direction.
     """
-    flat = values.reshape(-1, values.shape[2]) / (np.max(np.abs(values)) or 1.0)
-    gram = flat.T @ flat.conj()
+    num_bins, num_frames, m = values.shape
+    parts = np.ascontiguousarray(values, dtype=np.complex128).view(np.float64)
+    _, exponent = math.frexp(max(np.max(parts), -np.min(parts)))
+    step = max(RANK_BLOCK // num_frames, 1)
+    gram = np.zeros((m, m), dtype=np.complex128)
+    for start in range(0, num_bins, step):
+        block = np.ldexp(parts[start:start + step], -exponent).view(np.complex128)
+        block = block.reshape(-1, m)
+        gram += block.T @ block.conj()
     eigvals, eigvecs = np.linalg.eigh(gram)
     if eigvals[0] > RANK_TOLERANCE * eigvals[-1]:
         return
@@ -420,23 +478,75 @@ def _check_channel_rank(values):
     )
 
 
+def _read_text(path):
+    """The text of a file, or None where it cannot be read."""
+    try:
+        with open(path, encoding="ascii") as handle:
+            return handle.read()
+    except (OSError, ValueError):
+        return None
+
+
+def _memory_limit():
+    """Bytes the process may use, or None where the platform does not say.
+
+    The smaller of ``MemAvailable`` in MEMINFO and the cgroup's
+    CGROUP_MEMORY_MAX; a file that is absent or unreadable, and a limit of
+    ``max``, set no bound.
+    """
+    limits = []
+    for line in (_read_text(MEMINFO) or "").splitlines():
+        if line.startswith("MemAvailable:"):  # "MemAvailable:  7771384 kB"
+            limits.append(int(line.split()[1]) * 1024)
+    cap = (_read_text(CGROUP_MEMORY_MAX) or "max").strip()
+    if cap.isdigit():
+        limits.append(int(cap))
+    return min(limits, default=None)
+
+
+def _run_bytes_per_slot(num_sources, workers):
+    """Bytes per bin and frame of a run: the observation, its outer products,
+    the power and the scales, and two work planes per worker.
+
+    The output stage needs less: once the rest is released, the observation,
+    y and one image take 48M bytes per slot, below 32M + 8M^2 + 16 for any M.
+    """
+    m = num_sources
+    return 16 * m + 8 * m * m + 16 * m + 16 * workers
+
+
+def _check_memory(spec, workers):
+    """Raise ``TilrmaError`` when the run cannot fit in the memory the process may use."""
+    limit = _memory_limit()
+    if limit is None:
+        return
+    per_slot = _run_bytes_per_slot(spec.num_streams, workers)
+    needed = per_slot * spec.num_bins * spec.num_frames
+    if needed <= limit:
+        return
+    frames = limit // (per_slot * spec.num_bins)
+    seconds = frames * spec.config.shift_samples / spec.config.sample_rate_hz
+    raise TilrmaError(
+        f"separation needs {needed} bytes ({per_slot} per bin and frame over "
+        f"{spec.num_bins} bins and {spec.num_frames} frames) but {limit} are available; "
+        f"about {seconds:.1f} s of input fit at this window, shift and channel count"
+    )
+
+
 def _finalize(state, spec, hp, started, stage_boundary):
     # the covariances, the power, the scales, the outer products and the work
-    # planes are all released before the images exist
-    def residual(n):
-        return demix.head_residual(state.demixing, _covariance(state, n, hp.nu, hp.p), n)
+    # planes are all released before y exists, and the observation once it does
+    def residual(n, planes):
+        return demix.head_residual(state.demixing,
+                                   _covariance(state, n, hp.nu, hp.p, planes), n)
 
     head_residual = max(_run(state, residual, _sources(state)))
     state.power = state.stats = state.sigma_p = state.work = None
     y = _demixed(state)
-    images = [
-        ComplexSpectrogram(
-            demix.back_project(state.demixing, y, n),
-            spec.config,
-            spec.num_samples,
-        )
-        for n in _sources(state)
-    ]
+    state.obs = None
+    # solved for every source before any image exists, so a singular W
+    # raises before the caller writes anything
+    mixing = [demix.mixing_column(state.demixing, n) for n in _sources(state)]
     metadata = {
         **hp.to_json(),
         "stage_boundary": stage_boundary,
@@ -446,10 +556,13 @@ def _finalize(state, spec, hp, started, stage_boundary):
         "elapsed_seconds": time.perf_counter() - started,
     }
     return SeparationResult(
-        images=images,
+        demixed=y,
+        mixing=mixing,
         demixing=state.demixing,
         cost_trace=np.asarray(state.cost_trace),
         metadata=metadata,
+        config=spec.config,
+        num_samples=spec.num_samples,
     )
 
 
@@ -478,16 +591,17 @@ def separate(spec, hp):
     Raises
     ------
     TilrmaError
-        If there is one stream, or a channel is silent or a linear
-        combination of the others.
+        If there is one stream, a channel is silent or a linear combination
+        of the others, or the run needs more memory than the process may use.
     """
     started = time.perf_counter()
     if spec.num_streams < 2:
         raise TilrmaError("separation needs at least two channels")
+    workers = _worker_count()
+    _check_memory(spec, workers)
     _check_channel_rank(spec.values)
     sched = hp.schedule
     boundary = 0 if sched is None else sched.gaussian_iters
-    workers = _worker_count()
     # the calling thread is one of the workers; leaving the block joins the
     # others, however the run ends.  At one worker nothing is submitted, so
     # the executor starts no thread.

@@ -54,7 +54,7 @@ def improvement_db(scene, spec, result):
         synthesize(ComplexSpectrogram(synthetic.truth_image(scene, n), cfg, ns))[:, 0]
         for n in range(scene.num_sources)
     ]
-    ests = [synthesize(img)[:, 0] for img in result.images]
+    ests = [synthesize(result.image(n))[:, 0] for n in range(result.num_sources)]
     mix = synthesize(spec)[:, 0]
     rep = metrics.align_permutation(refs, ests, taps=1, mixture=mix)
     return rep.mean_improvement_db
@@ -192,14 +192,15 @@ def test_criterion_5_structural_identities():
         engine._refresh_power(state)
         for n in range(2):
             update_factors(state.basis[n], state.activation[n], state.power[n],
-                           state.sigma_p[n], p, nu, state.work[n])
+                           state.sigma_p[n], p, nu, state.work[0])
         before = cost_value(state.demixing, state.power, state.sigma_p, nu, p)
         for n in range(2):
             demix.normalize(state.demixing, state.power, state.sigma_p, state.basis, p, n)
         after = cost_value(state.demixing, state.power, state.sigma_p, nu, p)
         worst_invariance = max(worst_invariance, abs(after - before) / abs(before))
         y = np.einsum("inm,ijm->ijn", state.demixing, state.obs)
-        total = sum(demix.back_project(state.demixing, y, n) for n in range(2))
+        total = sum(demix.back_project(y, demix.mixing_column(state.demixing, n), n)
+                    for n in range(2))
         worst_completeness = max(
             worst_completeness, float(np.max(np.abs(total - state.obs)))
         )

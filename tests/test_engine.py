@@ -221,7 +221,7 @@ class TestRun:
         for n in range(2):
             expected = np.zeros_like(spec.values)
             expected[:, :, n] = spec.values[:, :, n]
-            assert np.max(np.abs(res.images[n].values - expected)) <= 1e-12
+            assert np.max(np.abs(res.image(n).values - expected)) <= 1e-12
 
     def test_bitwise_determinism(self):
         _, spec = small_scene_spec(1)
@@ -243,7 +243,7 @@ class TestRun:
         _, spec = small_scene_spec(4)
         hp = HyperParams(nu=6.0, p=1.0, num_bases=2, iterations=10, seed=0)
         res = engine.separate(spec, hp)
-        total = np.sum([img.values for img in res.images], axis=0)
+        total = np.sum([res.image(n).values for n in range(res.num_sources)], axis=0)
         assert np.max(np.abs(total - spec.values)) <= 1e-10
 
     def test_matches_per_bin_reference_loop(self):
@@ -317,6 +317,24 @@ class TestRun:
                 engine._iterate(state, nu, p, 1)
                 y = np.einsum("inm,ijm->ijn", state.demixing, state.obs)
                 assert np.allclose(state.power, power_of(y), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("num_bins", [1, 2, 7])
+    def test_power_refresh_splits_bins_to_fit_its_planes(self, num_bins):
+        # three sources: a pair of planes holds y of num_bins // 3 bins, and
+        # of none when there are fewer bins than sources
+        _, spec = small_scene_spec(2, num_sources=3)
+        spec = SimpleNamespace(values=np.ascontiguousarray(spec.values[:num_bins]))
+        whole = engine._init_state(spec, HyperParams(nu=5.0, p=1.0, num_bases=2), 1.0)
+        whole.demixing[:] = random_complex(np.random.default_rng(1), num_bins, 3, 3)
+        with ThreadPoolExecutor(1) as pool:
+            split = engine._init_state(spec, HyperParams(nu=5.0, p=1.0, num_bases=2), 1.0,
+                                       pool=pool, workers=2)
+            split.demixing[:] = whole.demixing
+            engine._refresh_power(split)
+        engine._refresh_power(whole)
+        assert split.power.tobytes() == whole.power.tobytes()
+        y = whole.obs @ whole.demixing.transpose(0, 2, 1)
+        assert np.allclose(whole.power, power_of(y), rtol=1e-12, atol=0)
 
     def test_metadata_carries_reproduction_info(self):
         _, spec = small_scene_spec(5)
@@ -406,8 +424,8 @@ class TestPool:
         three = separate_on(monkeypatch, 3, spec, hp)
         assert (one.metadata["workers"], three.metadata["workers"]) == (1, 3)
         assert three.demixing.tobytes() == one.demixing.tobytes()
-        assert [img.values.tobytes() for img in three.images] == [
-            img.values.tobytes() for img in one.images]
+        assert [three.image(n).values.tobytes() for n in range(three.num_sources)] == [
+            one.image(n).values.tobytes() for n in range(one.num_sources)]
         assert three.cost_trace.tobytes() == one.cost_trace.tobytes()
         assert three.metadata["events"] == one.metadata["events"]
         assert three.metadata["head_residual"] == one.metadata["head_residual"]
@@ -477,30 +495,98 @@ class TestPool:
 
     def test_first_failure_in_item_order_is_raised_after_every_task(self):
         finished = []
+        lent = set()
 
-        def task(k):
+        def task(k, planes):
             finished.append(k)
+            lent.add(id(planes.base))
             if k in (1, 4):
                 raise TilrmaError(f"item {k}")
             return k
 
         with ThreadPoolExecutor(2) as pool:
-            state = SimpleNamespace(pool=pool, workers=3)
+            state = SimpleNamespace(pool=pool, work=np.zeros((3, 2, 1, 1)))
             with pytest.raises(TilrmaError, match="^item 1$"):
                 engine._run(state, task, range(6))
-            assert engine._run(state, lambda k: k * k, range(5)) == [0, 1, 4, 9, 16]
+            assert engine._run(state, lambda k, planes: k * k, range(5)) == [0, 1, 4, 9, 16]
         assert sorted(finished) == list(range(6))
+        assert lent == {id(state.work)}  # every task got a pair of the run's planes
 
-    def test_pool_adds_at_most_one_plane_to_the_memory_peak(self, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_each_thread_has_one_pair_of_planes(self, monkeypatch, workers):
+        shapes = []
+        real_finalize = engine._finalize
+
+        def finalize(state, *args, **kwargs):
+            shapes.append(state.work.shape)
+            return real_finalize(state, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "_finalize", finalize)
+        _, spec = small_scene_spec(2, num_sources=3)
+        separate_on(monkeypatch, workers, spec, HyperParams(nu=5.0, p=1.0, num_bases=2,
+                                                            iterations=2))
+        assert shapes == [(workers, 2, spec.num_bins, spec.num_frames)]
+
+    def test_pool_adds_at_most_its_threads_planes_to_the_memory_peak(self, monkeypatch):
+        # each added worker brings its own pair of planes; up to M workers
+        # the run holds no more planes than that
         _, spec = small_scene_spec(6, num_bins=65, num_frames=96, num_sources=3)
         hp = HyperParams(nu=5.0, p=1.0, num_bases=2, iterations=4)
-        peaks = []
-        for workers in (1, 3):
+        peaks = {}
+        for workers in (1, 2, 3):
             tracemalloc.start()
             try:
                 separate_on(monkeypatch, workers, spec, hp)
-                peaks.append(tracemalloc.get_traced_memory()[1])
+                peaks[workers] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
         plane = 65 * 96 * 8
-        assert peaks[1] <= peaks[0] + plane, peaks
+        for workers in (2, 3):
+            assert peaks[workers] <= peaks[1] + (2 * (workers - 1) + 1) * plane, peaks
+
+
+class TestMemoryCheck:
+    @staticmethod
+    def stub(monkeypatch, files):
+        monkeypatch.setattr(engine, "_read_text", files.get)
+
+    def test_limit_is_the_smaller_of_available_memory_and_the_cgroup_limit(self, monkeypatch):
+        meminfo = "MemTotal:        8000 kB\nMemAvailable:    3000 kB\n"
+        self.stub(monkeypatch, {engine.MEMINFO: meminfo, engine.CGROUP_MEMORY_MAX: "2048000\n"})
+        assert engine._memory_limit() == 2048000
+        self.stub(monkeypatch, {engine.MEMINFO: meminfo, engine.CGROUP_MEMORY_MAX: "9999999\n"})
+        assert engine._memory_limit() == 3000 * 1024
+
+    @pytest.mark.parametrize("files", [
+        {},
+        {engine.CGROUP_MEMORY_MAX: "max\n"},
+        {engine.MEMINFO: "MemTotal:        8000 kB\n", engine.CGROUP_MEMORY_MAX: "max\n"},
+    ], ids=["no-files", "cgroup-max", "no-available-line"])
+    def test_no_known_limit_skips_the_check(self, monkeypatch, files):
+        self.stub(monkeypatch, files)
+        assert engine._memory_limit() is None
+        _, spec = small_scene_spec(2)
+        res = engine.separate(spec, HyperParams(nu=5.0, p=1.0, num_bases=2, iterations=1))
+        assert res.cost_trace.size == 1
+
+    def test_run_that_does_not_fit_is_refused_before_it_starts(self, monkeypatch):
+        _, spec = small_scene_spec(2, num_sources=3)
+        per_slot = engine._run_bytes_per_slot(3, 2)
+        assert per_slot == 16 * 3 + 8 * 9 + 16 * 3 + 16 * 2
+        needed = per_slot * spec.num_bins * spec.num_frames
+        limit = per_slot * spec.num_bins * 20  # room for 20 of the 48 frames
+        self.stub(monkeypatch, {engine.CGROUP_MEMORY_MAX: f"{limit}\n"})
+        monkeypatch.setattr(engine, "_init_state", None)  # nothing may be allocated
+        seconds = 20 * spec.config.shift_samples / spec.config.sample_rate_hz
+        with pytest.raises(TilrmaError, match=rf"^separation needs {needed} bytes .* but "
+                                              rf"{limit} are available; about {seconds:.1f} s "):
+            separate_on(monkeypatch, 2, spec, HyperParams(nu=5.0, p=1.0, num_bases=2,
+                                                          iterations=1))
+
+    def test_run_that_just_fits_is_not_refused(self, monkeypatch):
+        _, spec = small_scene_spec(2, num_sources=3)
+        needed = engine._run_bytes_per_slot(3, 1) * spec.num_bins * spec.num_frames
+        self.stub(monkeypatch, {engine.CGROUP_MEMORY_MAX: f"{needed}\n"})
+        res = separate_on(monkeypatch, 1, spec, HyperParams(nu=5.0, p=1.0, num_bases=2,
+                                                            iterations=1))
+        assert res.cost_trace.size == 1

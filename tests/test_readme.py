@@ -58,7 +58,7 @@ def test_library_use_example_runs(tmp_path, monkeypatch):
     result = namespace["result"]
     assert result.cost_trace.size == 200
     assert namespace["signal"].shape == (2 * rate, 2)
-    total = np.sum([image.values for image in result.images], axis=0)
+    total = np.sum([result.image(n).values for n in range(result.num_sources)], axis=0)
     assert np.max(np.abs(total - namespace["spec"].values)) <= 1e-10
 
 
