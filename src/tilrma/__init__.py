@@ -1,7 +1,7 @@
 """Determined blind source separation with a heavy-tailed low-rank source model."""
 
 from .engine import HyperParams, SeparationResult, TwoStageSchedule, separate
-from .metrics import EvalReport, align_permutation, sdr_projection, si_sdr
+from .metrics import EvalReport, align_permutation
 from .stft import ComplexSpectrogram, StftConfig, analyze, synthesize
 from .wavio import read_wav, write_wav
 
@@ -15,9 +15,7 @@ __all__ = [
     "align_permutation",
     "analyze",
     "read_wav",
-    "sdr_projection",
     "separate",
-    "si_sdr",
     "synthesize",
     "write_wav",
 ]

@@ -30,8 +30,6 @@ BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THR
 
 
 def build_parser():
-    # argparse applies type=int to a string default, so a bad TILRMA_SEED is a usage error
-    seed_default = os.environ.get("TILRMA_SEED", "0")
     parser = argparse.ArgumentParser(
         prog="tilrma",
         description="Determined blind source separation with a heavy-tailed "
@@ -55,7 +53,7 @@ def build_parser():
                      help="Gaussian-stage iterations; needs --two-stage (default 100)")
     sep.add_argument("--refit-iters", type=int, default=None,
                      help="NMF refit rounds at the switch; needs --two-stage (default 10)")
-    sep.add_argument("--seed", type=int, default=seed_default)
+    sep.add_argument("--seed", type=int, default=0)
     sep.add_argument("--window-ms", type=float, default=512.0)
     sep.add_argument("--shift-ms", type=float, default=128.0)
     sep.add_argument("--refs", nargs="+", default=None,
@@ -213,14 +211,11 @@ def main(argv=None):
     if not args.two_stage and (
             args.stage1_iters is not None or args.refit_iters is not None):
         parser.error("--stage1-iters and --refit-iters need --two-stage")
-    # checked before the input is read, so a bad value is named as such
-    for flag, value in (("--window-ms", args.window_ms), ("--shift-ms", args.shift_ms)):
-        if not value > 0:
-            parser.error(f"{flag} must be positive, got {value:g}")
     for flag, value in (("--taps", args.taps), ("--ref-channel", args.ref_channel)):
         if value < 1:
             parser.error(f"{flag} must be at least 1, got {value}")
     try:
+        StftConfig.check_durations(args.window_ms, args.shift_ms)
         hyper = _build_hyper(args)
     except ValueError as exc:  # checked before any input is read
         parser.error(str(exc))

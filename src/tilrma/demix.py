@@ -33,7 +33,8 @@ def solve_unit(mats, n):
     """Solve mats[i] v_i = e_n in every bin, without forming an inverse.
 
     A stacked ``numpy.linalg.solve`` raises for the whole stack when one
-    matrix is exactly singular; only then is the stack walked bin by bin.
+    matrix is exactly singular; only then are the singular bins found, by
+    ``slogdet``'s zero sign (the same LAPACK LU), and the rest solved again.
 
     Parameters
     ----------
@@ -50,12 +51,10 @@ def solve_unit(mats, n):
     try:
         return np.linalg.solve(mats, rhs)[:, :, 0]
     except np.linalg.LinAlgError:
+        solvable = np.linalg.slogdet(mats)[0] != 0
+        # singular bins stay NaN; the caller's finiteness check flags them
         out = np.full(mats.shape[:2], np.nan, dtype=np.complex128)
-        for i, (mat, col) in enumerate(zip(mats, rhs)):
-            try:
-                out[i] = np.linalg.solve(mat, col)[:, 0]
-            except np.linalg.LinAlgError:
-                pass  # stays NaN; the caller's finiteness check flags the bin
+        out[solvable] = np.linalg.solve(mats[solvable], rhs[solvable])[:, :, 0]
         return out
 
 

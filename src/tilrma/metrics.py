@@ -1,5 +1,6 @@
-"""Separation-quality scores: scale-invariant SDR, projection SDR with a
-time-invariant allowed-distortion filter, and output-to-reference alignment.
+"""Separation quality: projection SDR with a time-invariant
+allowed-distortion filter, scored for every output-reference pair and
+aligned by the best permutation.
 
 The projection SDR is BSS Eval's time-invariant-filter SDR (Vincent et al.,
 2006).  Its correlations at lags 0..taps-1 come from overlap-save block
@@ -54,60 +55,6 @@ def _capped_db(signal_energy, error_energy):
     if error_energy <= signal_energy * 10.0 ** (-CAP_DB / 10.0):
         return CAP_DB
     return float(10.0 * np.log10(signal_energy / error_energy))
-
-
-def si_sdr(reference, estimate):
-    """Scale-invariant signal-to-distortion ratio in dB.
-
-    The estimate is compared against the closest scaled copy of the
-    reference, so any positive or negative gain on the estimate leaves the
-    score unchanged.
-
-    Raises
-    ------
-    ZeroReferenceError
-        If the reference signal is identically zero.
-    """
-    reference = np.asarray(reference, dtype=np.float64)
-    estimate = np.asarray(estimate, dtype=np.float64)
-    if reference.shape != estimate.shape:
-        raise ValueError("reference and estimate must have equal length")
-    ref_energy = float(reference @ reference)
-    if ref_energy == 0.0:
-        raise ZeroReferenceError("reference signal is all-zero")
-    alpha = float(estimate @ reference) / ref_energy
-    target = alpha * reference
-    err = estimate - target
-    return _capped_db(float(target @ target), float(err @ err))
-
-
-def sdr_projection(reference, estimate, taps):
-    """SDR after projecting onto delayed copies of the reference.
-
-    The allowed distortion is a time-invariant filter of ``taps``
-    coefficients applied to the reference (delays 0..taps-1, signals
-    treated as zero-padded).  ``taps=1`` reduces to ``si_sdr`` up to
-    rounding.  The energies are quadratic forms in the solved filter (see
-    ``_projection_scores``), accurate to about eps·10^(SDR/10) relative.
-    An all-zero estimate scores -100 dB.
-
-    Raises
-    ------
-    IllConditionedProjectionError
-        If the Toeplitz normal equations are near-singular.
-    """
-    if taps < 1:
-        raise ValueError("taps must be >= 1")
-    if np.shape(reference) != np.shape(estimate):
-        raise ValueError("reference and estimate must have equal length")
-    length = len(reference)
-    reference = _signal("reference", reference, length)
-    estimate = _signal("estimate", estimate, length)
-    if float(reference @ reference) == 0.0:
-        raise ZeroReferenceError("reference signal is all-zero")
-    lags, cross = _correlations([reference], [estimate], taps)
-    energy = np.array([estimate @ estimate])
-    return float(_projection_scores(lags[0], cross[0], energy)[0])
 
 
 def _fft_size(length, taps):
@@ -267,7 +214,8 @@ def _projection_scores(lags, cross, energies):
 
 
 def _signal(name, signal, length):
-    """``signal`` as float64 after checking it is 1-D, ``length`` long and finite."""
+    """``signal`` as contiguous float64 after checking it is 1-D, ``length``
+    long and finite."""
     signal = np.asarray(signal, dtype=np.float64)
     if signal.ndim != 1:
         raise ValueError(f"{name} has shape {signal.shape}, expected ({length},)")
@@ -275,7 +223,8 @@ def _signal(name, signal, length):
         raise ValueError(f"{name} has {signal.shape[0]} samples, expected {length}")
     if not np.all(np.isfinite(signal)):
         raise ValueError(f"{name} has non-finite samples")
-    return signal
+    # contiguous, so a strided view and its copy score the same to the last bit
+    return np.ascontiguousarray(signal)
 
 
 @dataclass
@@ -290,6 +239,10 @@ class EvalReport:
 
 def align_permutation(references, estimates, taps=1, mixture=None):
     """Best assignment of estimates to references by exhaustive search.
+
+    This is the library's one SDR scorer: a single pair scores as
+    ``align_permutation([reference], [estimate], taps).per_source_sdr[0]``,
+    and ``taps=1`` is the scale-invariant SDR.
 
     Parameters
     ----------

@@ -32,14 +32,30 @@ class StftConfig:
     def __post_init__(self):
         if self.sample_rate_hz <= 0:
             raise ValueError("sample_rate_hz must be positive")
-        if self.window_length_ms <= 0 or self.shift_ms <= 0:
-            raise ValueError("window and shift durations must be positive")
-        ratio = self.window_length_ms / self.shift_ms
-        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 2:
-            raise ValueError("window_length_ms must be an integer multiple (>= 2) of shift_ms")
+        self.check_durations(self.window_length_ms, self.shift_ms)
         if self.window_samples == 0:
             raise ValueError(
                 f"a {self.window_length_ms:g} ms window is 0 samples at {self.sample_rate_hz:g} Hz"
+            )
+
+    @staticmethod
+    def check_durations(window_length_ms, shift_ms):
+        """Check what needs no sample rate: both durations positive and
+        finite, and the window an integer multiple (>= 2) of the shift.
+
+        Raises
+        ------
+        ValueError
+            Naming the value at fault.
+        """
+        for name, value in (("window_length_ms", window_length_ms), ("shift_ms", shift_ms)):
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value:g}")
+        ratio = window_length_ms / shift_ms
+        if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 2:
+            raise ValueError(
+                f"window_length_ms must be an integer multiple (>= 2) of shift_ms, "
+                f"got {window_length_ms:g} and {shift_ms:g}"
             )
 
     @property

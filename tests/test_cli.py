@@ -250,14 +250,17 @@ class TestUsage:
         assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags, named", [
-        (["--window-ms", "0"], "--window-ms must be positive, got 0"),
-        (["--window-ms", "-5"], "--window-ms must be positive, got -5"),
-        (["--shift-ms", "0"], "--shift-ms must be positive, got 0"),
-        (["--shift-ms", "nan"], "--shift-ms must be positive, got nan"),
+        (["--window-ms", "0"], "window_length_ms must be positive and finite, got 0"),
+        (["--window-ms", "-5"], "window_length_ms must be positive and finite, got -5"),
+        (["--window-ms", "inf"], "window_length_ms must be positive and finite, got inf"),
+        (["--shift-ms", "0"], "shift_ms must be positive and finite, got 0"),
+        (["--shift-ms", "nan"], "shift_ms must be positive and finite, got nan"),
+        (["--window-ms", "100", "--shift-ms", "30"],
+         "window_length_ms must be an integer multiple (>= 2) of shift_ms, got 100 and 30"),
         (["--taps", "0"], "--taps must be at least 1, got 0"),
         (["--ref-channel", "0"], "--ref-channel must be at least 1, got 0"),
-    ], ids=["window-zero", "window-negative", "shift-zero", "shift-nan", "taps-zero",
-            "ref-channel-zero"])
+    ], ids=["window-zero", "window-negative", "window-infinite", "shift-zero", "shift-nan",
+            "window-not-multiple", "taps-zero", "ref-channel-zero"])
     def test_bad_argument_is_usage_error_before_input_is_read(self, tmp_path, capsys, flags,
                                                                named):
         with pytest.raises(SystemExit) as info:
@@ -270,19 +273,6 @@ class TestUsage:
     def test_nu_reads_infinity(self, text):
         args = cli.build_parser().parse_args(["separate", "x.wav", "--nu", text])
         assert args.nu == math.inf
-
-    def test_seed_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("TILRMA_SEED", "77")
-        parser = cli.build_parser()
-        args = parser.parse_args(["separate", "x.wav"])
-        assert args.seed == 77
-
-    def test_bad_seed_env_is_usage_error(self, monkeypatch, capsys):
-        monkeypatch.setenv("TILRMA_SEED", "abc")
-        with pytest.raises(SystemExit) as info:
-            cli.main(["separate", "x.wav"])
-        assert info.value.code == 2
-        assert "--seed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--stage1-iters", "--refit-iters"])
     def test_schedule_flag_needs_two_stage(self, mixture_fixture, tmp_path, capsys, flag):

@@ -382,3 +382,5 @@ class TestSolveColumn:
         v = demix.solve_unit(m, 0)
         assert np.all(np.isnan(v[1]))
         assert np.all(np.isfinite(np.delete(v, 1, axis=0)))
+        for i in (0, 2, 3):
+            assert np.array_equal(v[i], np.linalg.solve(m[i], np.eye(2)[:, 0]))

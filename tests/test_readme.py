@@ -4,10 +4,12 @@ import re
 import shlex
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 
+import tilrma
 from tilrma import cli, wavio
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -85,3 +87,10 @@ def test_numpy_is_the_only_runtime_dependency():
     loaded = set(json.loads(done.stdout))
     assert "tilrma" in loaded
     assert loaded - set(sys.stdlib_module_names) <= {"numpy", "tilrma"}, loaded
+
+
+def test_all_lists_exactly_the_public_names():
+    # a removed function cannot stay exported, nor an export go unlisted
+    bound = {name for name, value in vars(tilrma).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert sorted(tilrma.__all__) == sorted(bound)
