@@ -1,6 +1,6 @@
 """Determined blind source separation with a heavy-tailed low-rank source model."""
 
-from .engine import HyperParams, SeparationResult, TwoStageSchedule, separate
+from .engine import HyperParams, SeparationResult, separate
 from .metrics import EvalReport, align_permutation
 from .stft import ComplexSpectrogram, StftConfig, analyze, synthesize
 from .wavio import read_wav, write_wav
@@ -11,7 +11,6 @@ __all__ = [
     "HyperParams",
     "SeparationResult",
     "StftConfig",
-    "TwoStageSchedule",
     "align_permutation",
     "analyze",
     "read_wav",

@@ -2,8 +2,9 @@
 WAV file and, given references, scores the result.
 
 Defaults mirror the reference experimental protocol: 512 ms Hamming window
-with a 128 ms shift, 200 iterations, and basis counts of five (music) or
-two (speech) behind ``--preset``.
+with a 128 ms shift, 200 iterations, basis counts of five (music) or two
+(speech) behind ``--preset``, and 100 Gaussian iterations behind
+``--two-stage``.
 """
 
 import argparse
@@ -18,13 +19,16 @@ from pathlib import Path
 import numpy as np
 
 from . import engine, metrics, wavio
-from .engine import HyperParams, TwoStageSchedule
+from .engine import HyperParams
 from .errors import TilrmaError
 from .stft import StftConfig, analyze, synthesize
 
-RESULT_SCHEMA_VERSION = 1
+RESULT_SCHEMA_VERSION = 2
 
 PRESET_BASES = {"music": 5, "speech": 2}
+
+# Gaussian iterations of --two-stage, as in the reference protocol
+STAGE1_ITERS = 100
 
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -50,7 +54,7 @@ def build_parser():
     sep.add_argument("--two-stage", action="store_true",
                      help="Gaussian warm-up before the configured model")
     sep.add_argument("--stage1-iters", type=int, default=None,
-                     help="Gaussian-stage iterations; needs --two-stage (default 100)")
+                     help=f"Gaussian-stage iterations; needs --two-stage (default {STAGE1_ITERS})")
     sep.add_argument("--refit-iters", type=int, default=None,
                      help="NMF refit rounds at the switch; needs --two-stage (default 10)")
     sep.add_argument("--seed", type=int, default=0)
@@ -69,16 +73,15 @@ def build_parser():
 
 def _build_hyper(args):
     """The run's ``HyperParams``; raises ``ValueError`` for an invalid value."""
-    schedule = None
-    if args.two_stage:
-        counts = {"gaussian_iters": args.stage1_iters, "refit_iters": args.refit_iters}
-        schedule = TwoStageSchedule(**{k: v for k, v in counts.items() if v is not None})
+    stage1 = STAGE1_ITERS if args.stage1_iters is None else args.stage1_iters
+    refit = {} if args.refit_iters is None else {"refit_iters": args.refit_iters}
     return HyperParams(
         nu=args.nu,
         p=args.p,
         num_bases=args.bases if args.bases is not None else PRESET_BASES[args.preset],
         iterations=args.iters,
-        schedule=schedule,
+        gaussian_iters=stage1 if args.two_stage else 0,
+        **refit,
         seed=args.seed,
     )
 
@@ -211,7 +214,10 @@ def main(argv=None):
     if not args.two_stage and (
             args.stage1_iters is not None or args.refit_iters is not None):
         parser.error("--stage1-iters and --refit-iters need --two-stage")
-    for flag, value in (("--taps", args.taps), ("--ref-channel", args.ref_channel)):
+    floors = [("--taps", args.taps), ("--ref-channel", args.ref_channel)]
+    if args.stage1_iters is not None:  # 0 would be a one-stage run
+        floors.append(("--stage1-iters (gaussian_iters)", args.stage1_iters))
+    for flag, value in floors:
         if value < 1:
             parser.error(f"{flag} must be at least 1, got {value}")
     try:

@@ -36,10 +36,11 @@ the process may use before it allocates any of it.
 
 import itertools
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -71,30 +72,31 @@ CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"
 
 
 @dataclass(frozen=True)
-class TwoStageSchedule:
-    """Run the Gaussian model first, then switch to the configured one.
-
-    The late-stage model starts from factors pretrained on the early
-    stage's output, which keeps heavy-tailed settings away from the poor
-    local optima they tend to find from scratch.
-    """
-
-    gaussian_iters: int = 100
-    refit_iters: int = 10
-
-
-@dataclass(frozen=True)
 class HyperParams:
-    """Everything that determines a run besides the observation itself."""
+    """Everything that determines a run besides the observation itself.
+
+    With ``gaussian_iters`` at 0 the run is one stage under (nu, p).  Above
+    0, the run first takes that many iterations of the Gaussian model, then
+    converts the factors to p, refits them by ``refit_iters`` rounds and
+    goes on under (nu, p).  The late stage starts from factors pretrained
+    on the early stage's output, which keeps heavy-tailed settings away
+    from the poor local optima they tend to find from scratch.
+    """
 
     nu: float
     p: float
     num_bases: int
     iterations: int = 200
-    schedule: TwoStageSchedule | None = None
+    gaussian_iters: int = 0
+    refit_iters: int = 10
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("num_bases", "iterations", "gaussian_iters", "refit_iters", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # numpy integers as plain ints
         if not self.nu > 0:
             raise ValueError("nu must be positive (inf selects the Gaussian model)")
         if not 1.0 <= self.p <= 2.0:
@@ -107,27 +109,16 @@ class HyperParams:
             raise ValueError("iterations must be nonnegative")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if self.schedule is not None:
-            if not 0 < self.schedule.gaussian_iters < self.iterations:
-                raise ValueError("gaussian_iters must lie strictly inside the run length")
-            if self.schedule.refit_iters < 0:
-                raise ValueError("refit_iters must be nonnegative")
+        if self.gaussian_iters and not 0 < self.gaussian_iters < self.iterations:
+            raise ValueError("gaussian_iters must be 0 (one stage) or lie strictly inside "
+                             f"the run length, got {self.gaussian_iters} of {self.iterations}")
+        if self.refit_iters < 0:
+            raise ValueError("refit_iters must be nonnegative")
 
     def to_json(self):
-        """The hyperparameters as a JSON-ready dict, with ``inf`` spelled as a string."""
-        return {
-            "nu": "inf" if math.isinf(self.nu) else self.nu,
-            "p": self.p,
-            "num_bases": self.num_bases,
-            "iterations": self.iterations,
-            "seed": self.seed,
-            "schedule": None
-            if self.schedule is None
-            else {
-                "gaussian_iters": self.schedule.gaussian_iters,
-                "refit_iters": self.schedule.refit_iters,
-            },
-        }
+        """The fields as a JSON-ready dict, with ``inf`` spelled as a string;
+        ``HyperParams(**{**h, "nu": float(h["nu"])})`` rebuilds them."""
+        return {**asdict(self), "nu": "inf" if math.isinf(self.nu) else self.nu}
 
 
 @dataclass
@@ -533,7 +524,7 @@ def _check_memory(spec, workers):
     )
 
 
-def _finalize(state, spec, hp, started, stage_boundary):
+def _finalize(state, spec, hp, started):
     # the covariances, the power, the scales, the outer products and the work
     # planes are all released before y exists, and the observation once it does
     def residual(n, planes):
@@ -549,7 +540,7 @@ def _finalize(state, spec, hp, started, stage_boundary):
     mixing = [demix.mixing_column(state.demixing, n) for n in _sources(state)]
     metadata = {
         **hp.to_json(),
-        "stage_boundary": stage_boundary,
+        "stage_boundary": hp.gaussian_iters or None,
         "events": list(state.events),
         "head_residual": head_residual,
         "workers": state.workers,
@@ -569,11 +560,11 @@ def _finalize(state, spec, hp, started, stage_boundary):
 def separate(spec, hp):
     """Separate a determined multichannel spectrogram.
 
-    Without ``hp.schedule`` the run is one stage of ``hp.iterations``
-    iterations under (hp.nu, hp.p).  With it, stage one runs
-    ``hp.schedule.gaussian_iters`` iterations of the Gaussian model
-    (nu=inf, p=2); the factors are then converted to hp.p and refit, and
-    stage two continues with (hp.nu, hp.p) for the remaining iterations.
+    With ``hp.gaussian_iters`` at 0 the run is one stage of
+    ``hp.iterations`` iterations under (hp.nu, hp.p).  Above 0, stage one
+    runs that many iterations of the Gaussian model (nu=inf, p=2); the
+    factors are then converted to hp.p and refit, and stage two continues
+    with (hp.nu, hp.p) for the remaining iterations.
     The cost trace covers both stages; the objective changes at the
     boundary, which the metadata reports, so each stage is monotone only
     on its own.
@@ -600,17 +591,15 @@ def separate(spec, hp):
     workers = _worker_count()
     _check_memory(spec, workers)
     _check_channel_rank(spec.values)
-    sched = hp.schedule
-    boundary = 0 if sched is None else sched.gaussian_iters
+    boundary = hp.gaussian_iters
     # the calling thread is one of the workers; leaving the block joins the
     # others, however the run ends.  At one worker nothing is submitted, so
     # the executor starts no thread.
     with ThreadPoolExecutor(max(workers - 1, 1), thread_name_prefix="tilrma") as pool:
-        state = _init_state(spec, hp, hp.p if sched is None else 2.0, pool=pool,
-                            workers=workers)
-        if sched is not None:
+        state = _init_state(spec, hp, 2.0 if boundary else hp.p, pool=pool, workers=workers)
+        if boundary:
             _iterate(state, math.inf, 2.0, boundary)
-            _switch_domain(state, 2.0, hp.p, sched.refit_iters)
+            _switch_domain(state, 2.0, hp.p, hp.refit_iters)
             state.events.append({"kind": "stage_boundary", "iteration": boundary})
         _iterate(state, hp.nu, hp.p, hp.iterations - boundary, start_iteration=boundary)
-        return _finalize(state, spec, hp, started, stage_boundary=boundary or None)
+        return _finalize(state, spec, hp, started)

@@ -58,30 +58,19 @@ def _capped_db(signal_energy, error_energy):
 
 
 def _fft_size(length, taps):
-    """Smallest even 2·3·5-smooth integer >= ``length + taps - 1`` (and >= 2).
+    """Smallest power of two >= ``length + taps - 1`` (and >= 2).
 
     At that length the circular correlations of the zero-padded signals
     equal the linear ones at every lag 0..taps-1, so it bounds the block
     length of ``_block_plan``.
     """
-    need = max(length + taps - 1, 2)
-    best = 1 << (need - 1).bit_length()
-    power5 = 1
-    while power5 < best:
-        odd = power5
-        while odd < best:
-            # smallest odd * 2^k >= need with k >= 1
-            halves = -(-need // (2 * odd))
-            best = min(best, (2 * odd) << (halves - 1).bit_length())
-            odd *= 3
-        power5 *= 5
-    return best
+    return 1 << (max(length + taps - 1, 2) - 1).bit_length()
 
 
 def _block_plan(length, taps):
     """Block length, hop and block count of the overlap-save correlations.
 
-    The block is the smallest even 2·3·5-smooth length at least
+    The block is the smallest power of two at least
     ``max(8 * taps, MIN_BLOCK)``, or ``_fft_size(length, taps)`` when that
     is shorter, so a short signal is one block.  Block b holds samples
     b·hop .. b·hop + block - 1, zero past the end, with

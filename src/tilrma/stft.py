@@ -30,8 +30,10 @@ class StftConfig:
     shift_ms: float = 128.0
 
     def __post_init__(self):
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
+        if not 0 < self.sample_rate_hz < math.inf:
+            raise ValueError(
+                f"sample_rate_hz must be positive and finite, got {self.sample_rate_hz:g}"
+            )
         self.check_durations(self.window_length_ms, self.shift_ms)
         if self.window_samples == 0:
             raise ValueError(

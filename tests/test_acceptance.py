@@ -14,7 +14,7 @@ import pytest
 import synthetic
 
 from tilrma import cli, demix, engine, metrics
-from tilrma.engine import HyperParams, TwoStageSchedule, cost_value
+from tilrma.engine import HyperParams, cost_value
 from tilrma.source_model import init_factors, update_factors
 from tilrma.stft import ComplexSpectrogram, StftConfig, analyze, synthesize
 
@@ -35,11 +35,10 @@ def monotone(trace):
     return bool(np.all(trace[1:] <= bound))
 
 
-def run_scene(seed, nu, p, iterations=200, schedule=None):
+def run_scene(seed, nu, p, iterations=200, **stages):
     scene = synthetic.make_scene(seed)
     spec = synthetic.scene_spectrogram(scene)
-    hp = HyperParams(nu=nu, p=p, num_bases=2, iterations=iterations, seed=seed,
-                     schedule=schedule)
+    hp = HyperParams(nu=nu, p=p, num_bases=2, iterations=iterations, seed=seed, **stages)
     return scene, spec, engine.separate(spec, hp)
 
 
@@ -231,18 +230,14 @@ def test_criterion_6_separation_quality(gauss_runs):
 
 def test_criterion_7_two_stage_schedule(gauss_runs):
     _, _, single = gauss_runs[1]
-    _, _, staged = run_scene(
-        1, math.inf, 2.0, schedule=TwoStageSchedule(gaussian_iters=100, refit_iters=10)
-    )
+    _, _, staged = run_scene(1, math.inf, 2.0, gaussian_iters=100, refit_iters=10)
     identity_gap = float(np.max(np.abs(staged.cost_trace - single.cost_trace)))
     identity_ok = identity_gap <= 1e-12 * max(1.0, float(np.max(np.abs(single.cost_trace))))
 
     stage_failures = []
     for nu in (1.0, 2.0, 10.0):
         for p in (1.0, 2.0):
-            _, _, res = run_scene(
-                1, nu, p, schedule=TwoStageSchedule(gaussian_iters=100, refit_iters=10)
-            )
+            _, _, res = run_scene(1, nu, p, gaussian_iters=100, refit_iters=10)
             boundary = res.metadata["stage_boundary"]
             if not monotone(res.cost_trace[boundary:]):
                 stage_failures.append((nu, p))
@@ -266,6 +261,8 @@ def test_criterion_8_protocol_replication_mode(tmp_path):
         and cli.PRESET_BASES == {"music": 5, "speech": 2}
         and args.taps == 512
     )
+    staged = cli._build_hyper(parser.parse_args(["separate", "x.wav", "--two-stage"]))
+    defaults_ok &= (staged.gaussian_iters, staged.refit_iters) == (100, 10)
     cfg = StftConfig(16000.0)
     stft_ok = cfg.window_samples == 8192 and cfg.shift_samples == 2048
 

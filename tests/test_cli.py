@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from tilrma import cli, engine, wavio
+from tilrma.stft import StftConfig, analyze
 
 
 @pytest.fixture
@@ -55,7 +56,7 @@ class TestSeparate:
         assert (out / "source_1.wav").exists()
         assert (out / "source_2.wav").exists()
         report = json.loads((out / "result.json").read_text())
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
         assert report["hyperparams"]["nu"] == "inf"
         assert report["hyperparams"]["seed"] == 1
         assert len(report["cost_trace"]) == 4
@@ -79,8 +80,26 @@ class TestSeparate:
         assert code == 0
         report = json.loads((out / "result.json").read_text())
         assert report["stage_boundary"] == 4
-        assert report["hyperparams"]["schedule"]["gaussian_iters"] == 4
+        assert report["hyperparams"]["gaussian_iters"] == 4
         assert len(report["cost_trace"]) == 8
+
+    def test_hyperparams_in_result_reproduce_the_run(self, mixture_fixture, tmp_path):
+        # README: the hyperparameters in result.json reproduce the run bitwise
+        mix_path, _ = mixture_fixture
+        out = tmp_path / "out_again"
+        argv = ["separate", str(mix_path), "--two-stage", "--nu", "10", "--p", "1.5",
+                "--iters", "6", "--stage1-iters", "3", "--refit-iters", "4", "--seed", "2",
+                "--out", str(out)] + SMALL_STFT
+        assert cli.main(argv) == 0
+        report = json.loads((out / "result.json").read_text())
+        saved = report["hyperparams"]
+        hyper = engine.HyperParams(**{**saved, "nu": float(saved["nu"])})
+        assert hyper == cli._build_hyper(cli.build_parser().parse_args(argv))
+        samples, rate = wavio.read_wav(mix_path)
+        spec = analyze(samples, StftConfig(rate, report["stft"]["window_ms"],
+                                           report["stft"]["shift_ms"]))
+        again = engine.separate(spec, hyper)
+        assert again.cost_trace.tolist() == report["cost_trace"]
 
     def test_reference_evaluation(self, mixture_fixture, tmp_path):
         mix_path, ref_paths = mixture_fixture

@@ -148,7 +148,7 @@ class TestOuterProducts:
         assert not hasattr(state, "obs_t")
         assert np.array_equal(state.stats, demix.outer_products(state.obs))
         engine._iterate(state, hp.nu, hp.p, 1)
-        engine._finalize(state, spec, hp, started=0.0, stage_boundary=None)
+        engine._finalize(state, spec, hp, started=0.0)
         assert state.stats is None and state.power is None and state.sigma_p is None
 
 

@@ -10,7 +10,7 @@ import pytest
 import synthetic
 
 from tilrma import engine
-from tilrma.engine import HyperParams, TwoStageSchedule, cost_value, log_abs_det
+from tilrma.engine import HyperParams, cost_value, log_abs_det
 from tilrma.errors import SingularMatrixError, TilrmaError
 from tilrma.source_model import init_factors
 from tilrma.stft import ComplexSpectrogram
@@ -82,13 +82,28 @@ class TestHyperParams:
 
     def test_schedule_must_fit_inside_run(self):
         with pytest.raises(ValueError):
-            HyperParams(nu=5.0, p=1.0, num_bases=2, iterations=100,
-                        schedule=TwoStageSchedule(gaussian_iters=100))
+            HyperParams(nu=5.0, p=1.0, num_bases=2, iterations=100, gaussian_iters=100)
+
+    @pytest.mark.parametrize("field", ["num_bases", "iterations", "gaussian_iters",
+                                       "refit_iters", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, None])
+    def test_counts_must_be_integers(self, field, value):
+        # rejected here, not with a TypeError deep in the run's set-up
+        args = {**dict(nu=5.0, p=1.0, num_bases=2, iterations=10), field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            HyperParams(**args)
+
+    def test_numpy_integer_counts_are_plain_ints(self):
+        hp = HyperParams(nu=5.0, p=1.0, num_bases=np.int64(2), iterations=np.int32(10),
+                         gaussian_iters=np.int16(4), refit_iters=np.uint8(3), seed=np.int64(7))
+        assert hp == HyperParams(nu=5.0, p=1.0, num_bases=2, iterations=10, gaussian_iters=4,
+                                 refit_iters=3, seed=7)
+        assert all(type(v) is int for k, v in hp.to_json().items() if k not in ("nu", "p"))
 
     def test_refit_iters_must_be_nonnegative(self):
         with pytest.raises(ValueError, match="refit_iters"):
-            HyperParams(nu=5.0, p=1.0, num_bases=2, iterations=10,
-                        schedule=TwoStageSchedule(5, -3))
+            HyperParams(nu=5.0, p=1.0, num_bases=2, iterations=10, gaussian_iters=5,
+                        refit_iters=-3)
 
 
 class TestLogAbsDet:
@@ -358,7 +373,7 @@ class TestTwoStage:
     def test_identity_switch_equals_single_stage(self):
         _, spec = small_scene_spec(7)
         hp2 = HyperParams(nu=math.inf, p=2.0, num_bases=2, iterations=30, seed=3,
-                          schedule=TwoStageSchedule(gaussian_iters=15))
+                          gaussian_iters=15)
         hp1 = HyperParams(nu=math.inf, p=2.0, num_bases=2, iterations=30, seed=3)
         two = engine.separate(spec, hp2)
         one = engine.separate(spec, hp1)
@@ -367,7 +382,7 @@ class TestTwoStage:
     def test_stagewise_monotonicity_and_boundary(self):
         _, spec = small_scene_spec(8)
         hp = HyperParams(nu=3.0, p=1.0, num_bases=2, iterations=40, seed=0,
-                         schedule=TwoStageSchedule(gaussian_iters=20, refit_iters=5))
+                         gaussian_iters=20, refit_iters=5)
         res = engine.separate(spec, hp)
         b = res.metadata["stage_boundary"]
         assert b == 20
@@ -380,7 +395,7 @@ class TestTwoStage:
     def test_separate_dispatches_on_schedule(self):
         _, spec = small_scene_spec(9)
         hp = HyperParams(nu=3.0, p=1.0, num_bases=2, iterations=10, seed=0,
-                         schedule=TwoStageSchedule(gaussian_iters=5, refit_iters=2))
+                         gaussian_iters=5, refit_iters=2)
         res = engine.separate(spec, hp)
         assert res.metadata["stage_boundary"] == 5
         res_single = engine.separate(spec, HyperParams(nu=3.0, p=1.0, num_bases=2,
@@ -407,10 +422,10 @@ POOL_CASES = {
     "t-3-sources": (dict(seed=3, num_sources=3), dict(nu=5.0, p=1.0, iterations=10)),
     "gaussian": (dict(seed=4), dict(nu=math.inf, p=2.0, iterations=10)),
     "two-stage-refit": (dict(seed=8), dict(nu=10.0, p=1.5, iterations=12,
-                                           schedule=TwoStageSchedule(5, refit_iters=3))),
+                                           gaussian_iters=5, refit_iters=3)),
     # p=2 keeps the Gaussian stage's exponent: the refit returns at once
     "two-stage-same-p": (dict(seed=5), dict(nu=10.0, p=2.0, iterations=12,
-                                            schedule=TwoStageSchedule(5, refit_iters=3))),
+                                            gaussian_iters=5, refit_iters=3)),
 }
 
 

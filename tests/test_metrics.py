@@ -59,35 +59,6 @@ def lstsq_sdr(reference, estimate, taps):
     return 10 * np.log10((target @ target) / (err @ err))
 
 
-def smallest_even_5_smooth(limit):
-    """``out[n]`` is the smallest even m >= max(n, 2) with no prime factor
-    above 5, for n < ``limit``, by trial division of every candidate."""
-    def smooth(m):
-        for prime in (2, 3, 5):
-            while m % prime == 0:
-                m //= prime
-        return m == 1
-
-    out = np.empty(limit, dtype=np.int64)
-    m = 2 * limit
-    while not smooth(m):
-        m += 2
-    for n in range(limit - 1, -1, -1):
-        if n >= 2 and n % 2 == 0 and smooth(n):
-            m = n
-        out[n] = m
-    return out
-
-
-def test_fft_size_is_smallest_even_5_smooth_length():
-    expected = smallest_even_5_smooth(20001)
-    for need in range(1, 20001):
-        taps = need // 2 + 1
-        length = need - taps + 1
-        assert metrics._fft_size(length, taps) == expected[need], need
-    assert metrics._fft_size(160000, 512) == 162000
-
-
 class TestSiSdr:
     def test_perfect_match_hits_cap(self):
         rng = np.random.default_rng(0)
@@ -202,7 +173,7 @@ class TestSdrProjection:
     @pytest.mark.parametrize(
         "length, taps, count",
         [
-            (500, 64, 1),   # shorter than one hop: one block of 576
+            (500, 64, 1),   # shorter than one hop: one block of 1024
             (2883, 64, 3),  # three whole hops of 961
             (2884, 64, 4),  # one sample into a fourth block
             (3000, 1, 3),
@@ -212,7 +183,9 @@ class TestSdrProjection:
         ],
     )
     def test_block_edges_match_loop_oracle(self, length, taps, count):
-        assert metrics._block_plan(length, taps)[2] == count
+        block, _, blocks = metrics._block_plan(length, taps)
+        assert blocks == count
+        assert block >= taps and block & (block - 1) == 0  # a power of two
         rng = np.random.default_rng(length + taps)
         ref = rng.standard_normal(length)
         est = np.convolve(ref, [1.0, 0.5, -0.25])[:length] + 0.3 * rng.standard_normal(length)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,13 @@ class TestConfig:
         cfg = StftConfig(22050.0)
         assert cfg.window_samples % cfg.shift_samples == 0
         assert cfg.window_samples >= 2 * cfg.shift_samples
+
+    @pytest.mark.parametrize("rate, shown", [(math.inf, "inf"), (math.nan, "nan"), (0.0, "0"),
+                                             (-1.0, "-1")])
+    def test_rate_must_be_positive_and_finite(self, rate, shown):
+        with pytest.raises(ValueError,
+                           match=f"^sample_rate_hz must be positive and finite, got {shown}$"):
+            StftConfig(rate)
 
     def test_non_integer_ratio_rejected(self):
         with pytest.raises(ValueError):
