@@ -134,10 +134,7 @@ def cmd_separate(args, hyper):
         length = min(min(len(r) for r in refs), samples.shape[0])
         refs = [r[:length] for r in refs]
         for path, ref in zip(args.refs, refs):
-            if not np.all(np.isfinite(ref)):
-                raise TilrmaError(f"reference {path} has non-finite samples")
-            if not np.any(ref):
-                raise TilrmaError(f"reference {path} is all-zero over the {length} scored samples")
+            metrics.check_reference(f"reference {path}", ref, args.taps)
 
     stft = StftConfig(rate, args.window_ms, args.shift_ms)
 

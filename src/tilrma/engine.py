@@ -30,8 +30,9 @@ thread count.  With one CPU the calling thread runs every task itself.
 
 A run holds, per bin and frame, the observation (16M bytes at M sources),
 its outer products (8M^2), the power and the scales (16M) and the work
-planes (16 per worker).  ``separate`` checks that total against the memory
-the process may use before it allocates any of it.
+planes (16 per worker).  Before it allocates any of it, ``separate`` checks
+what it allocates, all but the caller's observation, against the memory the
+process may still use.
 """
 
 import itertools
@@ -65,10 +66,13 @@ MAX_WORKERS = 2
 # Bin-frame slots per block of the channel check's Gram.
 RANK_BLOCK = 1 << 16
 
-# Read, never written, for the memory the process may use: the kernel's
-# estimate of memory available without swapping, and the cgroup v2 limit.
+# Read, never written, for the memory the process may still use: the kernel's
+# estimate of memory available without swapping, and the cgroup v2 limit, use
+# and the page cache within that use.
 MEMINFO = "/proc/meminfo"
 CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"
+CGROUP_MEMORY_CURRENT = "/sys/fs/cgroup/memory.current"
+CGROUP_MEMORY_STAT = "/sys/fs/cgroup/memory.stat"
 
 
 @dataclass(frozen=True)
@@ -92,10 +96,13 @@ class HyperParams:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("num_bases", "iterations", "gaussian_iters", "refit_iters", "seed"):
+        for name, least in (("num_bases", 1), ("iterations", 0), ("gaussian_iters", 0),
+                            ("refit_iters", 0), ("seed", 0)):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
             object.__setattr__(self, name, int(value))  # numpy integers as plain ints
         if not self.nu > 0:
             raise ValueError("nu must be positive (inf selects the Gaussian model)")
@@ -103,17 +110,9 @@ class HyperParams:
             raise ValueError("p must lie in [1, 2]")
         if math.isinf(self.nu) and self.p != 2.0:
             raise ValueError("the Gaussian model (nu=inf) is only defined for p=2")
-        if self.num_bases < 1:
-            raise ValueError("num_bases must be at least 1")
-        if self.iterations < 0:
-            raise ValueError("iterations must be nonnegative")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
         if self.gaussian_iters and not 0 < self.gaussian_iters < self.iterations:
             raise ValueError("gaussian_iters must be 0 (one stage) or lie strictly inside "
                              f"the run length, got {self.gaussian_iters} of {self.iterations}")
-        if self.refit_iters < 0:
-            raise ValueError("refit_iters must be nonnegative")
 
     def to_json(self):
         """The fields as a JSON-ready dict, with ``inf`` spelled as a string;
@@ -286,11 +285,6 @@ def _bin_blocks(num_bins, parts):
     return [slice(a, b) for a, b in zip(edges, edges[1:]) if b > a]
 
 
-def _demixed(state):
-    """y_ij = W_i x_ij for every bin and frame, (bins, frames, sources)."""
-    return state.obs @ state.demixing.transpose(0, 2, 1)
-
-
 def _refresh_power(state):
     """Set ``state.power`` to |W_i x_ij|^2, a block of bins per task.
 
@@ -407,7 +401,7 @@ def _iterate(state, nu, p, iterations, start_iteration=0):
 
 
 def _init_state(spec, hp, p, pool=None, workers=1):
-    values = np.ascontiguousarray(spec.values, dtype=np.complex128)
+    values = np.ascontiguousarray(spec.values, dtype=np.complex128)  # _check_memory counts any copy
     num_bins, num_frames, num_sources = values.shape
     demixing = np.tile(np.eye(num_sources, dtype=np.complex128), (num_bins, 1, 1))
     basis, activation = init_factors(num_sources, num_bins, num_frames, hp.num_bases, hp.seed)
@@ -479,11 +473,15 @@ def _read_text(path):
 
 
 def _memory_limit():
-    """Bytes the process may use, or None where the platform does not say.
+    """Bytes the process may still allocate, or None where the platform does not say.
 
     The smaller of ``MemAvailable`` in MEMINFO and the cgroup's
-    CGROUP_MEMORY_MAX; a file that is absent or unreadable, and a limit of
-    ``max``, set no bound.
+    CGROUP_MEMORY_MAX less what it holds: CGROUP_MEMORY_CURRENT less the page
+    cache, ``active_file`` and ``inactive_file`` in CGROUP_MEMORY_STAT, which
+    the kernel reclaims under pressure and ``MemAvailable`` counts as
+    available (shared memory is on neither list).  The limit is taken whole
+    where either file cannot be read; a file that is absent or unreadable,
+    and a limit of ``max``, set no bound.
     """
     limits = []
     for line in (_read_text(MEMINFO) or "").splitlines():
@@ -491,27 +489,32 @@ def _memory_limit():
             limits.append(int(line.split()[1]) * 1024)
     cap = (_read_text(CGROUP_MEMORY_MAX) or "max").strip()
     if cap.isdigit():
-        limits.append(int(cap))
+        stat = [line.split() for line in (_read_text(CGROUP_MEMORY_STAT) or "").splitlines()]
+        cache = [int(value) for key, value in stat if key in ("active_file", "inactive_file")]
+        used = (_read_text(CGROUP_MEMORY_CURRENT) or "").strip()
+        held = int(used) - sum(cache) if used.isdigit() and len(cache) == 2 else 0
+        limits.append(max(int(cap) - max(held, 0), 0))
     return min(limits, default=None)
 
 
 def _run_bytes_per_slot(num_sources, workers):
-    """Bytes per bin and frame of a run: the observation, its outer products,
-    the power and the scales, and two work planes per worker.
-
-    The output stage needs less: once the rest is released, the observation,
-    y and one image take 48M bytes per slot, below 32M + 8M^2 + 16 for any M.
+    """Bytes per bin and frame that a run allocates: the outer products, the
+    power and the scales, and two work planes per worker, but not the caller's
+    observation.  The output stage allocates less: once the rest is released,
+    y and one image take 32M bytes per slot, below 8M^2 + 16M + 16 for any M.
     """
     m = num_sources
-    return 16 * m + 8 * m * m + 16 * m + 16 * workers
+    return 8 * m * m + 16 * m + 16 * workers
 
 
 def _check_memory(spec, workers):
-    """Raise ``TilrmaError`` when the run cannot fit in the memory the process may use."""
+    """Raise ``TilrmaError`` when the run cannot fit in the memory the process may still use."""
     limit = _memory_limit()
     if limit is None:
         return
     per_slot = _run_bytes_per_slot(spec.num_streams, workers)
+    if not (spec.values.flags.c_contiguous and spec.values.dtype == np.complex128):
+        per_slot += 16 * spec.num_streams  # the copy ``_init_state`` makes
     needed = per_slot * spec.num_bins * spec.num_frames
     if needed <= limit:
         return
@@ -533,7 +536,7 @@ def _finalize(state, spec, hp, started):
 
     head_residual = max(_run(state, residual, _sources(state)))
     state.power = state.stats = state.sigma_p = state.work = None
-    y = _demixed(state)
+    y = state.obs @ state.demixing.transpose(0, 2, 1)  # y_ij = W_i x_ij, (bins, frames, sources)
     state.obs = None
     # solved for every source before any image exists, so a singular W
     # raises before the caller writes anything

@@ -168,8 +168,26 @@ def _half_solve(even, odd, rhs):
     return coef
 
 
-def _projection_scores(lags, cross, energies):
-    """Projection SDR of each signal against one reference.
+def _normal_equations(name, lags):
+    """Toeplitz Gram matrix of the reference ``name`` from its ``lags`` 0..taps-1,
+    and its half systems E and O; raises ``IllConditionedProjectionError``
+    when the Gram matrix is too ill-conditioned to solve."""
+    taps = lags.shape[0]
+    delay = np.arange(taps)
+    gram = lags[np.abs(delay[:, None] - delay)]
+    even, odd = _half_systems(gram)
+    # the Gram matrix is symmetric, so its 2-norm condition number is the
+    # ratio of its extreme eigenvalue magnitudes, which E and O hold between them
+    magnitude = np.abs(np.concatenate([np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd)]))
+    if not magnitude.max() <= MAX_CONDITION * magnitude.min():
+        raise IllConditionedProjectionError(
+            f"{name}: projection normal equations ill-conditioned (taps={taps})"
+        )
+    return gram, even, odd
+
+
+def _projection_scores(name, lags, cross, energies):
+    """Projection SDR of each signal against the reference ``name``.
 
     ``lags`` holds the reference's autocorrelation at lags 0..taps-1,
     ``cross`` each signal's correlation with it, ``(taps, signals)``, and
@@ -185,17 +203,7 @@ def _projection_scores(lags, cross, energies):
     1e-5 dB at 99 dB.  A silent signal solves to c = 0, so both energies
     are 0 and it scores -CAP_DB.
     """
-    taps = lags.shape[0]
-    delay = np.arange(taps)
-    gram = lags[np.abs(delay[:, None] - delay)]
-    even, odd = _half_systems(gram)
-    # the Gram matrix is symmetric, so its 2-norm condition number is the
-    # ratio of its extreme eigenvalue magnitudes, which E and O hold between them
-    magnitude = np.abs(np.concatenate([np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd)]))
-    if not magnitude.max() <= MAX_CONDITION * magnitude.min():
-        raise IllConditionedProjectionError(
-            f"projection normal equations ill-conditioned (taps={taps})"
-        )
+    gram, even, odd = _normal_equations(name, lags)
     coef = _half_solve(even, odd, cross)
     signal_energy = np.sum(coef * (gram @ coef), axis=0)
     error_energy = energies - 2.0 * np.sum(coef * cross, axis=0) + signal_energy
@@ -214,6 +222,18 @@ def _signal(name, signal, length):
         raise ValueError(f"{name} has non-finite samples")
     # contiguous, so a strided view and its copy score the same to the last bit
     return np.ascontiguousarray(signal)
+
+
+def check_reference(name, reference, taps):
+    """Raise, naming ``name``, where ``align_permutation`` would for this reference at
+    ``taps``, before any estimate exists: ``ValueError`` for samples that are not
+    finite, ``ZeroReferenceError`` for an all-zero reference and
+    ``IllConditionedProjectionError`` for normal equations it cannot solve."""
+    reference = _signal(name, reference, len(reference))
+    if float(reference @ reference) == 0.0:
+        raise ZeroReferenceError(f"{name} is all-zero over the {reference.size} scored samples")
+    lags, _ = _correlations([reference], [], taps)
+    _normal_equations(name, lags[0])
 
 
 @dataclass
@@ -274,10 +294,7 @@ def align_permutation(references, estimates, taps=1, mixture=None):
     lags, cross = _correlations(refs, signals, taps)
     scores = np.empty((num, len(signals)))
     for r in range(num):
-        try:
-            scores[r] = _projection_scores(lags[r], cross[r], energies)
-        except IllConditionedProjectionError as exc:
-            raise IllConditionedProjectionError(f"reference {r}: {exc}") from None
+        scores[r] = _projection_scores(f"reference {r}", lags[r], cross[r], energies)
 
     best_perm, best_total = None, -np.inf
     for perm in itertools.permutations(range(num)):

@@ -102,54 +102,36 @@ def _weighted_power(power, sigma_p, p, nu, scratch):
     return np.divide(weighted, sigma_p, out=weighted)
 
 
-def update_bases(basis, activation, power, sigma_p, p, nu, scratch):
-    """One multiplicative basis update for a single source, in place.
-
-    Parameters
-    ----------
-    basis: ndarray (bins, bases)
-        Updated in place and floored.
-    activation: ndarray (bases, frames)
-    power: ndarray (bins, frames)
-        |y|^2 of this source's current estimate.
-    sigma_p: ndarray (bins, frames)
-        Current scale tensor of this source: the ``recompute_scale`` output
-        for its factors, possibly rescaled since by ``demix.normalize``,
-        which scales floored slots along with the rest.
-    p: float
-        Domain exponent of the factors.
-    nu: float
-        Degrees of freedom; ``inf`` selects the Gaussian rule.
-    scratch: ndarray (2, bins, frames)
-        Work planes; see ``_weighted_power``.
+def _update_factor(factor, other, power, sigma_p, p, nu, scratch):
+    """The multiplicative update of a (rows, bases) factor against its
+    (bases, columns) partner, in place and floored; ``power``, ``sigma_p`` and
+    the ``scratch`` planes are (rows, columns).  The products are formed
+    bases-first: the activation's, on transposed views, is then the faster order.
     """
-    ratio = _weighted_power(power, sigma_p, p, nu, scratch) @ activation.T
-    ratio /= np.divide(1.0, sigma_p, out=scratch[0]) @ activation.T
+    ratio = other @ _weighted_power(power, sigma_p, p, nu, scratch).T
+    ratio /= other @ np.divide(1.0, sigma_p, out=scratch[0]).T
     ratio **= p / (p + 2.0)
-    basis *= ratio
-    np.maximum(basis, FLOOR, out=basis)
-
-
-def update_activations(basis, activation, power, sigma_p, p, nu, scratch):
-    """Mirror of ``update_bases`` with the bin and frame roles swapped."""
-    ratio = basis.T @ _weighted_power(power, sigma_p, p, nu, scratch)
-    ratio /= basis.T @ np.divide(1.0, sigma_p, out=scratch[0])
-    ratio **= p / (p + 2.0)
-    activation *= ratio
-    np.maximum(activation, FLOOR, out=activation)
+    factor *= ratio.T
+    np.maximum(factor, FLOOR, out=factor)
 
 
 def update_factors(basis, activation, power, sigma_p, p, nu, scratch):
     """One NMF step of a single source, in place: basis update, scale
     refresh, activation update, scale refresh.
 
-    ``sigma_p`` is refreshed in place after each half, so on return it is
-    ``recompute_scale`` of the updated factors.  The arguments are as in
-    ``update_bases``.
+    The activation update is the basis update with bins and frames
+    exchanged, so both take ``_update_factor``, and each factor is floored.
+    ``basis`` is (bins, bases), ``activation`` (bases, frames), and ``power``,
+    |y|^2 of the source's estimate, and ``sigma_p``, its scale tensor, are
+    (bins, frames).  ``sigma_p`` is the ``recompute_scale`` output for the
+    factors, possibly rescaled since by ``demix.normalize``, which scales
+    floored slots along with the rest; it is refreshed in place after each
+    half, so on return it is ``recompute_scale`` of the updated factors.
+    ``scratch`` is two (bins, frames) work planes; see ``_weighted_power``.
     """
-    update_bases(basis, activation, power, sigma_p, p, nu, scratch)
+    _update_factor(basis, activation, power, sigma_p, p, nu, scratch)
     recompute_scale(basis, activation, p, out=sigma_p)
-    update_activations(basis, activation, power, sigma_p, p, nu, scratch)
+    _update_factor(activation.T, basis.T, power.T, sigma_p.T, p, nu, scratch.transpose(0, 2, 1))
     recompute_scale(basis, activation, p, out=sigma_p)
 
 

@@ -171,8 +171,11 @@ class TestSeparate:
             ("ref-channels", r"ref1\.wav has 2 channels; --ref-channel 3 needs a mono reference"),
             ("silent-ref", r"ref0\.wav is all-zero over the 8000 scored samples"),
             ("nan-ref", r"ref1\.wav has non-finite samples"),
+            ("ill-conditioned-ref",
+             r"ref0\.wav: projection normal equations ill-conditioned \(taps=512\)"),
         ],
-        ids=["one-ref", "missing-ref", "ref-rate", "ref-channels", "silent-ref", "nan-ref"],
+        ids=["one-ref", "missing-ref", "ref-rate", "ref-channels", "silent-ref", "nan-ref",
+             "ill-conditioned-ref"],
     )
     def test_bad_evaluation_arguments_are_rejected_before_separation(
             self, mixture_fixture, tmp_path, capsys, defect, message):
@@ -202,6 +205,13 @@ class TestSeparate:
             data = bytearray(Path(ref_paths[1]).read_bytes())
             data[-8:] = np.array([np.nan], dtype="<f8").tobytes()
             Path(ref_paths[1]).write_bytes(bytes(data))
+        elif defect == "ill-conditioned-ref":
+            # a tone under a Hann^4 window: its 512 delayed copies are
+            # numerically collinear, so only the scoring would have found it
+            t = np.arange(8000) / 8000.0
+            tone = np.sin(2 * np.pi * 440 * t) * np.hanning(8000) ** 4
+            wavio.write_wav(ref_paths[0], tone, 8000, "float64")
+            extra = ["--taps", "512"]
         out = tmp_path / "out_eval"
         code = cli.main(["separate", str(mix_path), "--iters", "2", "--refs", *ref_paths,
                          "--taps", "1", "--out", str(out)] + extra + SMALL_STFT)

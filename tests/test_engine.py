@@ -100,6 +100,16 @@ class TestHyperParams:
                                  refit_iters=3, seed=7)
         assert all(type(v) is int for k, v in hp.to_json().items() if k not in ("nu", "p"))
 
+    @pytest.mark.parametrize("field, least", [("num_bases", 1), ("iterations", 0),
+                                              ("gaussian_iters", 0), ("refit_iters", 0),
+                                              ("seed", 0)])
+    def test_counts_below_their_least_value_are_rejected(self, field, least):
+        args = {**dict(nu=5.0, p=1.0, num_bases=2, iterations=10), field: least - 1}
+        message = rf"^{field} must be at least {least}, got {least - 1}$"
+        with pytest.raises(ValueError, match=message):
+            HyperParams(**args)
+        assert getattr(HyperParams(**{**args, field: least}), field) == least
+
     def test_refit_iters_must_be_nonnegative(self):
         with pytest.raises(ValueError, match="refit_iters"):
             HyperParams(nu=5.0, p=1.0, num_bases=2, iterations=10, gaussian_iters=5,
@@ -565,18 +575,44 @@ class TestMemoryCheck:
     def stub(monkeypatch, files):
         monkeypatch.setattr(engine, "_read_text", files.get)
 
+    @staticmethod
+    def cgroup(limit, used=5000, cache=0):
+        """Files of a cgroup that may still allocate ``limit`` bytes, whose
+        use of ``used`` bytes is ``cache`` bytes of page cache beyond that."""
+        stat = f"anon {used}\nfile {cache}\nactive_file {cache // 4}\n" \
+               f"inactive_file {cache - cache // 4}\nshmem 0\n"
+        return {engine.CGROUP_MEMORY_MAX: f"{limit + used}\n",
+                engine.CGROUP_MEMORY_CURRENT: f"{used + cache}\n",
+                engine.CGROUP_MEMORY_STAT: stat}
+
     def test_limit_is_the_smaller_of_available_memory_and_the_cgroup_limit(self, monkeypatch):
         meminfo = "MemTotal:        8000 kB\nMemAvailable:    3000 kB\n"
+        self.stub(monkeypatch, {engine.MEMINFO: meminfo, **self.cgroup(2048000)})
+        assert engine._memory_limit() == 2048000
+        self.stub(monkeypatch, {engine.MEMINFO: meminfo, **self.cgroup(9999999)})
+        assert engine._memory_limit() == 3000 * 1024
+        # the page cache within the cgroup's use is room the kernel reclaims
+        self.stub(monkeypatch, self.cgroup(2048000, cache=900000))
+        assert engine._memory_limit() == 2048000
+        # a cgroup limit without its current use, or without the page cache
+        # within it, is taken whole
         self.stub(monkeypatch, {engine.MEMINFO: meminfo, engine.CGROUP_MEMORY_MAX: "2048000\n"})
         assert engine._memory_limit() == 2048000
-        self.stub(monkeypatch, {engine.MEMINFO: meminfo, engine.CGROUP_MEMORY_MAX: "9999999\n"})
-        assert engine._memory_limit() == 3000 * 1024
+        self.stub(monkeypatch, {engine.CGROUP_MEMORY_MAX: "2048000\n",
+                                engine.CGROUP_MEMORY_CURRENT: "2000000\n"})
+        assert engine._memory_limit() == 2048000
+        # a cgroup already over its limit has no room left
+        files = self.cgroup(0, used=3000000)
+        files[engine.CGROUP_MEMORY_MAX] = "2048000\n"
+        self.stub(monkeypatch, files)
+        assert engine._memory_limit() == 0
 
     @pytest.mark.parametrize("files", [
         {},
         {engine.CGROUP_MEMORY_MAX: "max\n"},
+        {engine.CGROUP_MEMORY_MAX: "max\n", engine.CGROUP_MEMORY_CURRENT: "5000\n"},
         {engine.MEMINFO: "MemTotal:        8000 kB\n", engine.CGROUP_MEMORY_MAX: "max\n"},
-    ], ids=["no-files", "cgroup-max", "no-available-line"])
+    ], ids=["no-files", "cgroup-max", "cgroup-max-with-use", "no-available-line"])
     def test_no_known_limit_skips_the_check(self, monkeypatch, files):
         self.stub(monkeypatch, files)
         assert engine._memory_limit() is None
@@ -587,10 +623,11 @@ class TestMemoryCheck:
     def test_run_that_does_not_fit_is_refused_before_it_starts(self, monkeypatch):
         _, spec = small_scene_spec(2, num_sources=3)
         per_slot = engine._run_bytes_per_slot(3, 2)
-        assert per_slot == 16 * 3 + 8 * 9 + 16 * 3 + 16 * 2
+        # the caller's observation is already allocated and is not counted
+        assert per_slot == 8 * 9 + 16 * 3 + 16 * 2
         needed = per_slot * spec.num_bins * spec.num_frames
         limit = per_slot * spec.num_bins * 20  # room for 20 of the 48 frames
-        self.stub(monkeypatch, {engine.CGROUP_MEMORY_MAX: f"{limit}\n"})
+        self.stub(monkeypatch, self.cgroup(limit))
         monkeypatch.setattr(engine, "_init_state", None)  # nothing may be allocated
         seconds = 20 * spec.config.shift_samples / spec.config.sample_rate_hz
         with pytest.raises(TilrmaError, match=rf"^separation needs {needed} bytes .* but "
@@ -601,7 +638,36 @@ class TestMemoryCheck:
     def test_run_that_just_fits_is_not_refused(self, monkeypatch):
         _, spec = small_scene_spec(2, num_sources=3)
         needed = engine._run_bytes_per_slot(3, 1) * spec.num_bins * spec.num_frames
-        self.stub(monkeypatch, {engine.CGROUP_MEMORY_MAX: f"{needed}\n"})
+        self.stub(monkeypatch, self.cgroup(needed))
         res = separate_on(monkeypatch, 1, spec, HyperParams(nu=5.0, p=1.0, num_bases=2,
                                                             iterations=1))
         assert res.cost_trace.size == 1
+
+    def test_run_is_not_refused_for_the_cgroups_page_cache(self, monkeypatch):
+        # a long-lived cgroup's use sits near its limit, most of it page cache
+        _, spec = small_scene_spec(2, num_sources=3)
+        needed = engine._run_bytes_per_slot(3, 1) * spec.num_bins * spec.num_frames
+        files = self.cgroup(needed, cache=50 * needed)
+        assert int(files[engine.CGROUP_MEMORY_MAX]) < int(files[engine.CGROUP_MEMORY_CURRENT])
+        self.stub(monkeypatch, files)
+        res = separate_on(monkeypatch, 1, spec, HyperParams(nu=5.0, p=1.0, num_bases=2,
+                                                            iterations=1))
+        assert res.cost_trace.size == 1
+        self.stub(monkeypatch, self.cgroup(needed - 1, cache=50 * needed))
+        with pytest.raises(TilrmaError, match=rf"^separation needs {needed} bytes "):
+            separate_on(monkeypatch, 1, spec, HyperParams(nu=5.0, p=1.0, num_bases=2,
+                                                          iterations=1))
+
+    def test_observation_the_run_must_copy_is_counted(self, monkeypatch):
+        _, spec = small_scene_spec(2, num_sources=3)
+        strided = ComplexSpectrogram(np.asfortranarray(spec.values), spec.config,
+                                     spec.num_samples)
+        per_slot = engine._run_bytes_per_slot(3, 1) + 16 * 3
+        needed = per_slot * spec.num_bins * spec.num_frames
+        hp = HyperParams(nu=5.0, p=1.0, num_bases=2, iterations=1)
+        self.stub(monkeypatch, self.cgroup(needed - 1))
+        with pytest.raises(TilrmaError, match=rf"^separation needs {needed} bytes "
+                                              rf"\({per_slot} per bin and frame"):
+            separate_on(monkeypatch, 1, strided, hp)
+        self.stub(monkeypatch, self.cgroup(needed))
+        assert separate_on(monkeypatch, 1, strided, hp).cost_trace.size == 1

@@ -352,11 +352,27 @@ class TestAlignPermutation:
             match=r"^reference 1: projection normal equations ill-conditioned \(taps=512\)$",
         ):
             metrics.align_permutation([noise, slow], [slow, noise], taps=512)
+        # the same check on one reference, without estimates
+        with pytest.raises(
+            IllConditionedProjectionError,
+            match=r"^slow\.wav: projection normal equations ill-conditioned \(taps=512\)$",
+        ):
+            metrics.check_reference("slow.wav", slow, taps=512)
+        metrics.check_reference("noise.wav", noise, taps=512)
 
     def test_zero_reference_is_named(self):
         noise = np.random.default_rng(16).standard_normal(64)
         with pytest.raises(ZeroReferenceError, match="^reference 0: "):
             metrics.align_permutation([np.zeros(64), noise], [noise, noise], taps=4)
+        # check_reference rejects what align_permutation rejects, including a
+        # reference whose energy underflows to zero
+        tiny = np.full(64, 1e-200)
+        with pytest.raises(ZeroReferenceError, match="^reference 0: "):
+            metrics.align_permutation([tiny], [noise], taps=4)
+        for silent in (np.zeros(64), tiny):
+            with pytest.raises(ZeroReferenceError,
+                               match=r"^silent\.wav is all-zero over the 64 scored samples$"):
+                metrics.check_reference("silent.wav", silent, taps=4)
 
     def test_empty_reference_is_all_zero(self):
         with pytest.raises(ZeroReferenceError, match="^reference 0: "):

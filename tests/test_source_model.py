@@ -7,14 +7,13 @@ import pytest
 from tilrma.source_model import (
     FLOOR,
     _t_weight,
+    _update_factor,
     _weighted_power,
     convert_domain,
     init_factors,
     recompute_scale,
     scale_floor,
     sigma_squared,
-    update_activations,
-    update_bases,
     update_factors,
 )
 
@@ -31,6 +30,16 @@ def scalar_factors(t, v):
 def planes(like):
     """Work planes for the factor updates, shaped for a (bins, frames) operand."""
     return np.empty((2,) + like.shape)
+
+
+def update_role(role, basis, activation, power, sigma_p, p, nu, scratch):
+    """The update of one factor, as ``update_factors`` calls the rule for it;
+    returns that factor."""
+    if role == "basis":
+        _update_factor(basis, activation, power, sigma_p, p, nu, scratch)
+        return basis
+    _update_factor(activation.T, basis.T, power.T, sigma_p.T, p, nu, scratch.transpose(0, 2, 1))
+    return activation
 
 
 def random_estimate(rng, num_bins, num_frames):
@@ -92,93 +101,85 @@ class TestRecomputeScale:
                 assert out[i, j] == pytest.approx(direct, rel=1e-15)
 
 
-class TestUpdateBases:
+ROLES = ["basis", "activation"]
+
+
+class UpdateRuleChecks:
+    """The checks of the factor update rule, run in one role by each subclass.
+
+    The activation's update is the basis update with bins and frames
+    exchanged, so both roles take every check.
+    """
+
+    role = None
+    fixed_point_seed = cost_seed = None
+    scalar_case = None  # (t, v, y, nu, p)
+
     def test_gaussian_fixed_point(self):
-        rng = np.random.default_rng(1)
+        rng = np.random.default_rng(self.fixed_point_seed)
         t, v = random_factors(rng, 6, 7, 2)
         sp = recompute_scale(t, v, 2.0)
         y = np.sqrt(sp) * np.exp(2j * np.pi * rng.random(sp.shape))  # |y|^2 == sigma^2
-        t0 = t.copy()
-        update_bases(t, v, np.abs(y) ** 2, sp, 2.0, math.inf, planes(sp))
+        t0, v0 = t.copy(), v.copy()
+        update_role(self.role, t, v, np.abs(y) ** 2, sp, 2.0, math.inf, planes(sp))
         assert np.allclose(t, t0, rtol=1e-12)
+        assert np.allclose(v, v0, rtol=1e-12)
 
     def test_scalar_instance_matches_transcription(self):
-        t, v = 0.7, 1.3
-        y = 0.9 + 0.4j
-        nu, p = 5.0, 1.5
+        t, v, y, nu, p = self.scalar_case
         sp = t * v
         sig_sq = sp ** (2.0 / p)
         power = abs(y) ** 2
         weight = 1.0 / (nu / (nu + 2.0) * sig_sq + 2.0 / (nu + 2.0) * power)
-        expected = t * ((power * weight * sp**-1 * v) / (sp**-1 * v)) ** (p / (p + 2.0))
+        factor, partner = (t, v) if self.role == "basis" else (v, t)
+        expected = factor * (
+            (power * weight * sp**-1 * partner) / (sp**-1 * partner)
+        ) ** (p / (p + 2.0))
 
         basis, activation = scalar_factors(t, v)
         sp = recompute_scale(basis, activation, p)
-        update_bases(basis, activation, np.array([[power]]), sp, p, nu, planes(sp))
-        assert basis[0, 0] == pytest.approx(expected, rel=1e-12)
+        updated = update_role(self.role, basis, activation, np.array([[power]]), sp, p, nu,
+                              planes(sp))
+        assert updated[0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_update_exponent_values(self):
         # with L=I=J=1 and |y|^2 = 4 sigma^2 the update ratio is 4^(p/(p+2))
         for p, expected in ((2.0, 4.0 ** 0.5), (1.0, 4.0 ** (1.0 / 3.0))):
             t, v = scalar_factors(0.5, 0.8)
+            before = {"basis": 0.5, "activation": 0.8}[self.role]
             sp = recompute_scale(t, v, p)
             y = np.array([[2.0 * float(sp[0, 0]) ** (1.0 / p)]], dtype=complex)
-            update_bases(t, v, np.abs(y) ** 2, sp, p, math.inf, planes(sp))
-            assert t[0, 0] / 0.5 == pytest.approx(expected, rel=1e-12)
+            updated = update_role(self.role, t, v, np.abs(y) ** 2, sp, p, math.inf, planes(sp))
+            assert updated[0, 0] / before == pytest.approx(expected, rel=1e-12)
 
     def test_cost_does_not_increase(self):
-        rng = np.random.default_rng(2)
+        rng = np.random.default_rng(self.cost_seed)
         nu, p = 5.0, 1.0
         t, v = random_factors(rng, 8, 10, 2)
         y = random_estimate(rng, 8, 10)
         sp = recompute_scale(t, v, p)
         before = source_cost_oracle(y, t, v, nu, p)
-        update_bases(t, v, np.abs(y) ** 2, sp, p, nu, planes(sp))
+        update_role(self.role, t, v, np.abs(y) ** 2, sp, p, nu, planes(sp))
         after = source_cost_oracle(y, t, v, nu, p)
         assert after <= before + 1e-10 * abs(before)
 
     def test_floor_preserved_on_silent_input(self):
         t, v = np.full((3, 2), 0.5), np.full((2, 4), 0.5)
         sp = recompute_scale(t, v, 2.0)
-        update_bases(t, v, np.zeros((3, 4)), sp, 2.0, 10.0, planes(sp))
-        assert np.all(t >= FLOOR)
+        updated = update_role(self.role, t, v, np.zeros((3, 4)), sp, 2.0, 10.0, planes(sp))
+        assert np.all(updated >= FLOOR)
 
 
-class TestUpdateActivations:
-    def test_gaussian_fixed_point(self):
-        rng = np.random.default_rng(3)
-        t, v = random_factors(rng, 6, 7, 2)
-        sp = recompute_scale(t, v, 2.0)
-        y = np.sqrt(sp) * np.exp(2j * np.pi * rng.random(sp.shape))
-        v0 = v.copy()
-        update_activations(t, v, np.abs(y) ** 2, sp, 2.0, math.inf, planes(sp))
-        assert np.allclose(v, v0, rtol=1e-12)
+class TestUpdateBases(UpdateRuleChecks):
+    role = "basis"
+    fixed_point_seed, cost_seed = 1, 2
+    scalar_case = (0.7, 1.3, 0.9 + 0.4j, 5.0, 1.5)
 
-    def test_scalar_instance_matches_transcription(self):
-        t, v = 1.1, 0.4
-        y = -0.3 + 1.2j
-        nu, p = 3.0, 1.0
-        sp = t * v
-        sig_sq = sp ** (2.0 / p)
-        power = abs(y) ** 2
-        weight = 1.0 / (nu / (nu + 2.0) * sig_sq + 2.0 / (nu + 2.0) * power)
-        expected = v * ((power * weight * sp**-1 * t) / (sp**-1 * t)) ** (p / (p + 2.0))
 
-        basis, activation = scalar_factors(t, v)
-        sp = recompute_scale(basis, activation, p)
-        update_activations(basis, activation, np.array([[power]]), sp, p, nu, planes(sp))
-        assert activation[0, 0] == pytest.approx(expected, rel=1e-12)
-
-    def test_cost_does_not_increase(self):
-        rng = np.random.default_rng(4)
-        nu, p = 5.0, 1.0
-        t, v = random_factors(rng, 8, 10, 2)
-        y = random_estimate(rng, 8, 10)
-        before = source_cost_oracle(y, t, v, nu, p)
-        sp = recompute_scale(t, v, p)
-        update_activations(t, v, np.abs(y) ** 2, sp, p, nu, planes(sp))
-        after = source_cost_oracle(y, t, v, nu, p)
-        assert after <= before + 1e-10 * abs(before)
+class TestUpdateActivations(UpdateRuleChecks):
+    role = "activation"
+    fixed_point_seed, cost_seed = 3, 4
+    scalar_case = (1.1, 0.4, -0.3 + 1.2j, 3.0, 1.0)
 
 
 class TestGaussianLimitReduction:
@@ -190,12 +191,12 @@ class TestGaussianLimitReduction:
         r = recompute_scale(t, v, 2.0)
 
         ours = t.copy()
-        update_bases(ours, v, power, r, 2.0, math.inf, planes(r))
+        update_role("basis", ours, v, power, r, 2.0, math.inf, planes(r))
         isnmf_basis = t * np.sqrt(((power / r**2) @ v.T) / ((1.0 / r) @ v.T))
         assert np.allclose(ours, np.maximum(isnmf_basis, FLOOR), rtol=1e-12)
 
         ours2 = v.copy()
-        update_activations(t, ours2, power, r, 2.0, math.inf, planes(r))
+        update_role("activation", t, ours2, power, r, 2.0, math.inf, planes(r))
         isnmf_act = v * np.sqrt((t.T @ (power / r**2)) / (t.T @ (1.0 / r)))
         assert np.allclose(ours2, np.maximum(isnmf_act, FLOOR), rtol=1e-12)
 
@@ -236,10 +237,9 @@ class TestMmSequenceMonotonicity:
         scratch = np.empty((2,) + y.shape)
         costs = [source_cost_oracle(y, t, v, nu, p)]
         for _ in range(5):
-            update_bases(t, v, np.abs(y) ** 2, recompute_scale(t, v, p), p, nu, scratch)
-            costs.append(source_cost_oracle(y, t, v, nu, p))
-            update_activations(t, v, np.abs(y) ** 2, recompute_scale(t, v, p), p, nu, scratch)
-            costs.append(source_cost_oracle(y, t, v, nu, p))
+            for role in ROLES:
+                update_role(role, t, v, np.abs(y) ** 2, recompute_scale(t, v, p), p, nu, scratch)
+                costs.append(source_cost_oracle(y, t, v, nu, p))
         costs = np.array(costs)
         assert np.all(costs[1:] <= costs[:-1] + 1e-10 * np.abs(costs[:-1]))
 
@@ -254,10 +254,9 @@ class TestUpdateFactors:
         scratch = planes(sp)
         # the same step on copies, one half at a time
         t_ref, v_ref, sp_ref = t.copy(), v.copy(), sp.copy()
-        update_bases(t_ref, v_ref, power, sp_ref, p, nu, planes(sp))
-        sp_ref = recompute_scale(t_ref, v_ref, p)
-        update_activations(t_ref, v_ref, power, sp_ref, p, nu, planes(sp))
-        sp_ref = recompute_scale(t_ref, v_ref, p)
+        for role in ROLES:
+            update_role(role, t_ref, v_ref, power, sp_ref, p, nu, planes(sp))
+            sp_ref = recompute_scale(t_ref, v_ref, p)
         tracemalloc.start()
         try:
             assert update_factors(t, v, power, sp, p, nu, scratch) is None
