@@ -224,7 +224,7 @@ def main(argv=None):
         parser.error(str(exc))
     try:
         return cmd_separate(args, hyper)
-    except (TilrmaError, OSError, ValueError) as exc:
+    except (TilrmaError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

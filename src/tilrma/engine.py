@@ -99,7 +99,7 @@ class HyperParams:
         for name, least in (("num_bases", 1), ("iterations", 0), ("gaussian_iters", 0),
                             ("refit_iters", 0), ("seed", 0)):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < least:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
@@ -197,8 +197,11 @@ def _determinant_term(demixing, num_frames):
 def _source_cost(power, sigma_p, nu, p, scratch):
     """Data term of one source, summed over its bins and frames.
 
-    It is formed in the two (bins, frames) planes of ``scratch``, in the
-    order of operations the formulas of ``cost_value`` spell out.
+    Gaussian (nu=inf, p=2): sum(log r + |y|^2 / r).  Otherwise:
+    sum((1 + nu/2) log(1 + (2/nu) |y|^2 / sigma^2) + (2/p) log sigma^p).
+    With ``_determinant_term`` added over the sources, this is the negative
+    log-likelihood with additive constants dropped.  It is formed in the two
+    (bins, frames) planes of ``scratch``, in the order the formulas spell out.
     """
     a, b = scratch
     if math.isinf(nu):
@@ -216,21 +219,6 @@ def _source_cost(power, sigma_p, nu, p, scratch):
     a *= 2.0 / p
     b += a
     return float(np.sum(b))
-
-
-def cost_value(demixing, power, sigma_p, nu, p):
-    """Negative log-likelihood with additive constants dropped.
-
-    ``power`` holds |y|^2 of every source, (sources, bins, frames), like ``sigma_p``.
-    Gaussian (nu=inf, p=2): sum(log r + |y|^2 / r) - 2J sum_i log|det W_i|.
-    Otherwise: sum((1 + nu/2) log(1 + (2/nu) |y|^2 / sigma^2) + (2/p) log sigma^p)
-    minus the same determinant term.
-    """
-    total = _determinant_term(demixing, power.shape[2])
-    scratch = np.empty((2,) + power.shape[1:])
-    for pw, sp in zip(power, sigma_p):
-        total += _source_cost(pw, sp, nu, p, scratch)
-    return total
 
 
 def _worker_count():
@@ -365,7 +353,7 @@ def _ridge_retry(state, cov, n, bins, iteration):
 
 def _source_step(state, nu, p):
     """One NMF step, rescaling and cost term per source; returns the cost,
-    summed as ``cost_value`` sums it."""
+    the determinant term plus each source's term in source order."""
 
     def step(n, planes):
         update_factors(state.basis[n], state.activation[n], state.power[n], state.sigma_p[n],
@@ -401,13 +389,12 @@ def _iterate(state, nu, p, iterations, start_iteration=0):
 
 
 def _init_state(spec, hp, p, pool=None, workers=1):
-    values = np.ascontiguousarray(spec.values, dtype=np.complex128)  # _check_memory counts any copy
-    num_bins, num_frames, num_sources = values.shape
+    num_bins, num_frames, num_sources = spec.values.shape
     demixing = np.tile(np.eye(num_sources, dtype=np.complex128), (num_bins, 1, 1))
     basis, activation = init_factors(num_sources, num_bins, num_frames, hp.num_bases, hp.seed)
     state = RunState(
-        obs=values,
-        stats=demix.outer_products(values),
+        obs=spec.values,
+        stats=demix.outer_products(spec.values),
         demixing=demixing,
         power=np.empty((num_sources, num_bins, num_frames)),
         basis=basis,
@@ -422,7 +409,8 @@ def _init_state(spec, hp, p, pool=None, workers=1):
 
 
 def _check_channel_rank(values):
-    """Reject channels that are silent or copies of one another.
+    """Reject channels that are silent or copies of one another, in the
+    C-contiguous complex128 ``values`` of a ``ComplexSpectrogram``.
 
     The M x M channel Gram is summed over blocks of bins, each scaled by the
     power of two that brings the largest real or imaginary part into
@@ -433,7 +421,7 @@ def _check_channel_rank(values):
     those in the null direction.
     """
     num_bins, num_frames, m = values.shape
-    parts = np.ascontiguousarray(values, dtype=np.complex128).view(np.float64)
+    parts = values.view(np.float64)
     _, exponent = math.frexp(max(np.max(parts), -np.min(parts)))
     step = max(RANK_BLOCK // num_frames, 1)
     gram = np.zeros((m, m), dtype=np.complex128)
@@ -513,8 +501,6 @@ def _check_memory(spec, workers):
     if limit is None:
         return
     per_slot = _run_bytes_per_slot(spec.num_streams, workers)
-    if not (spec.values.flags.c_contiguous and spec.values.dtype == np.complex128):
-        per_slot += 16 * spec.num_streams  # the copy ``_init_state`` makes
     needed = per_slot * spec.num_bins * spec.num_frames
     if needed <= limit:
         return

@@ -26,6 +26,7 @@ reports -100 dB.
 """
 
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,14 +225,28 @@ def _signal(name, signal, length):
     return np.ascontiguousarray(signal)
 
 
+def _taps(taps):
+    """``taps`` as a plain int, after checking it is an integer >= 1 (numpy's, not bool)."""
+    if isinstance(taps, bool) or not isinstance(taps, numbers.Integral) or taps < 1:
+        raise ValueError(f"taps must be an integer of at least 1, got {taps!r}")
+    return int(taps)
+
+
+def _reference(name, reference, length):
+    """``_signal`` of a reference, which must also not be all-zero."""
+    reference = _signal(name, reference, length)
+    if float(reference @ reference) == 0.0:
+        raise ZeroReferenceError(f"{name} is all-zero over the {length} scored samples")
+    return reference
+
+
 def check_reference(name, reference, taps):
     """Raise, naming ``name``, where ``align_permutation`` would for this reference at
-    ``taps``, before any estimate exists: ``ValueError`` for samples that are not
-    finite, ``ZeroReferenceError`` for an all-zero reference and
+    ``taps``, before any estimate exists: ``ValueError`` for a bad ``taps`` or
+    non-finite samples, ``ZeroReferenceError`` for an all-zero reference and
     ``IllConditionedProjectionError`` for normal equations it cannot solve."""
-    reference = _signal(name, reference, len(reference))
-    if float(reference @ reference) == 0.0:
-        raise ZeroReferenceError(f"{name} is all-zero over the {reference.size} scored samples")
+    taps = _taps(taps)
+    reference = _reference(name, reference, len(reference))
     lags, _ = _correlations([reference], [], taps)
     _normal_equations(name, lags[0])
 
@@ -256,7 +271,7 @@ def align_permutation(references, estimates, taps=1, mixture=None):
     Parameters
     ----------
     references, estimates: sequences of equal-length 1-D arrays (1 <= N <= 8)
-    taps: filter length for the underlying SDR (1 = scale-invariant)
+    taps: filter length for the underlying SDR, an integer >= 1 (1 = scale-invariant)
     mixture: optional unprocessed signal; when given, per-source SDR
         improvements over it are reported.
 
@@ -268,27 +283,22 @@ def align_permutation(references, estimates, taps=1, mixture=None):
     Raises
     ------
     ValueError
-        Naming the first signal that is not 1-D, not as long as reference 0
-        or not finite; every signal is checked before any pair is scored.
+        For a bad ``taps``, or naming the first signal that is not 1-D, not
+        as long as reference 0 or not finite, before any pair is scored.
     ZeroReferenceError, IllConditionedProjectionError
-        With the message prefixed by the index of the reference at fault.
+        Naming the index of the reference at fault.
     """
     num = len(references)
     if len(estimates) != num:
         raise ValueError("need as many estimates as references")
     if not 1 <= num <= 8:
         raise ValueError(f"exhaustive alignment needs 1 to 8 sources, got {num}")
-    if taps < 1:
-        raise ValueError("taps must be >= 1")
+    taps = _taps(taps)
     length = len(references[0])
-    refs = [_signal(f"reference {r}", x, length) for r, x in enumerate(references)]
+    refs = [_reference(f"reference {r}", x, length) for r, x in enumerate(references)]
     signals = [_signal(f"estimate {e}", x, length) for e, x in enumerate(estimates)]
     if mixture is not None:
         signals.append(_signal("mixture", mixture, length))
-
-    for r, reference in enumerate(refs):
-        if float(reference @ reference) == 0.0:
-            raise ZeroReferenceError(f"reference {r}: reference signal is all-zero")
 
     energies = np.array([signal @ signal for signal in signals])
     lags, cross = _correlations(refs, signals, taps)

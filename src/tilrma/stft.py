@@ -83,6 +83,7 @@ class StftConfig:
 class ComplexSpectrogram:
     """One-sided complex spectrogram, shape (num_bins, num_frames, num_streams).
 
+    ``values`` is held as C-contiguous complex128, the layout the engine uses.
     ``num_samples`` remembers the time-domain length so synthesis can trim
     the padding that analysis added.
     """
@@ -92,7 +93,7 @@ class ComplexSpectrogram:
     num_samples: int
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.complex128)
+        self.values = np.ascontiguousarray(self.values, dtype=np.complex128)
         if self.values.ndim != 3:
             raise ValueError("spectrogram values must be (bins, frames, streams)")
         if self.values.shape[0] != self.config.num_bins:

@@ -7,7 +7,8 @@ acceptance suite and the engine tests separate such scenes.
 
 The separation code substitutes all auxiliary variables analytically, so
 nothing in the production path ever materializes them.  This module keeps
-them observable: it evaluates the exact cost together with its two
+them observable: it evaluates the exact cost (``cost_value``, the engine's
+per-iteration sum as a function of a state) together with its two
 surrogate bounds (tangent-line and Jensen) at explicit auxiliary settings,
 so the touch conditions and the dominance chain that underpin the
 convergence guarantee can be checked numerically on random states, as
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tilrma.engine import _determinant_term, cost_value
+from tilrma.engine import _determinant_term, _source_cost
 from tilrma.source_model import recompute_scale
 from tilrma.stft import ComplexSpectrogram, StftConfig
 
@@ -183,6 +184,22 @@ def check_jensen_inequality(z, mu, p):
     # slack scales with the values: both sides can reach 1e6 and beyond,
     # where an absolute 1e-12 would sit below one ulp
     return lhs, rhs, lhs <= rhs + 1e-12 * max(1.0, abs(lhs))
+
+
+def cost_value(demixing, power, sigma_p, nu, p):
+    """Negative log-likelihood with additive constants dropped, summed from the
+    engine's own terms as ``engine._source_step`` sums them.
+
+    ``power`` holds |y|^2 of every source, (sources, bins, frames), like ``sigma_p``.
+    Gaussian (nu=inf, p=2): sum(log r + |y|^2 / r) - 2J sum_i log|det W_i|.
+    Otherwise: sum((1 + nu/2) log(1 + (2/nu) |y|^2 / sigma^2) + (2/p) log sigma^p)
+    minus the same determinant term.
+    """
+    total = _determinant_term(demixing, power.shape[2])
+    scratch = np.empty((2,) + power.shape[1:])
+    for pw, sp in zip(power, sigma_p):
+        total += _source_cost(pw, sp, nu, p, scratch)
+    return total
 
 
 def optimal_auxiliaries(power, basis, activation, p, nu):

@@ -12,9 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 import synthetic
+from synthetic import cost_value
 
 from tilrma import cli, demix, engine, metrics
-from tilrma.engine import HyperParams, cost_value
+from tilrma.engine import HyperParams
 from tilrma.source_model import init_factors, update_factors
 from tilrma.stft import ComplexSpectrogram, StftConfig, analyze, synthesize
 

@@ -219,6 +219,22 @@ class TestSeparate:
         assert re.search(r"^error: .*" + message, capsys.readouterr().err)
         assert not out.exists()
 
+    def test_failed_allocation_fails_cleanly(self, mixture_fixture, tmp_path, capsys,
+                                             monkeypatch):
+        # as a --taps far beyond the reference's length does: its normal
+        # equations are taps x taps
+        def refuse(name, reference, taps):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(cli.metrics, "check_reference", refuse)
+        mix_path, ref_paths = mixture_fixture
+        out = tmp_path / "out_eval"
+        code = cli.main(["separate", str(mix_path), "--iters", "2", "--refs", *ref_paths,
+                         "--taps", "16", "--out", str(out)] + SMALL_STFT)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: Unable to allocate")
+        assert not out.exists()
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_memory_peak_is_the_run_state(self, tmp_path, monkeypatch, workers):
         # the sources are written one at a time, so the engine's run state

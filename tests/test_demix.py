@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 import synthetic
+from synthetic import cost_value
 
 from tilrma import demix, engine
-from tilrma.engine import HyperParams, cost_value
+from tilrma.engine import HyperParams
 from tilrma.errors import DegenerateSourceError, SingularMatrixError
 from tilrma.source_model import recompute_scale, scale_floor
 

@@ -8,9 +8,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import synthetic
+from synthetic import cost_value
 
 from tilrma import engine
-from tilrma.engine import HyperParams, cost_value, log_abs_det
+from tilrma.engine import HyperParams, log_abs_det
 from tilrma.errors import SingularMatrixError, TilrmaError
 from tilrma.source_model import init_factors
 from tilrma.stft import ComplexSpectrogram
@@ -86,7 +87,7 @@ class TestHyperParams:
 
     @pytest.mark.parametrize("field", ["num_bases", "iterations", "gaussian_iters",
                                        "refit_iters", "seed"])
-    @pytest.mark.parametrize("value", [2.5, 2.0, None])
+    @pytest.mark.parametrize("value", [2.5, 2.0, None, True])
     def test_counts_must_be_integers(self, field, value):
         # rejected here, not with a TypeError deep in the run's set-up
         args = {**dict(nu=5.0, p=1.0, num_bases=2, iterations=10), field: value}
@@ -658,16 +659,19 @@ class TestMemoryCheck:
             separate_on(monkeypatch, 1, spec, HyperParams(nu=5.0, p=1.0, num_bases=2,
                                                           iterations=1))
 
-    def test_observation_the_run_must_copy_is_counted(self, monkeypatch):
+    def test_fortran_ordered_spectrogram_is_stored_c_contiguous(self, monkeypatch):
+        # the spectrogram owns the copy, so the run allocates no observation of its own
         _, spec = small_scene_spec(2, num_sources=3)
-        strided = ComplexSpectrogram(np.asfortranarray(spec.values), spec.config,
+        fortran = ComplexSpectrogram(np.asfortranarray(spec.values), spec.config,
                                      spec.num_samples)
-        per_slot = engine._run_bytes_per_slot(3, 1) + 16 * 3
+        assert fortran.values.flags.c_contiguous and fortran.values.dtype == np.complex128
+        assert np.array_equal(fortran.values, spec.values)
+        per_slot = engine._run_bytes_per_slot(3, 1)
         needed = per_slot * spec.num_bins * spec.num_frames
         hp = HyperParams(nu=5.0, p=1.0, num_bases=2, iterations=1)
         self.stub(monkeypatch, self.cgroup(needed - 1))
         with pytest.raises(TilrmaError, match=rf"^separation needs {needed} bytes "
                                               rf"\({per_slot} per bin and frame"):
-            separate_on(monkeypatch, 1, strided, hp)
+            separate_on(monkeypatch, 1, fortran, hp)
         self.stub(monkeypatch, self.cgroup(needed))
-        assert separate_on(monkeypatch, 1, strided, hp).cost_trace.size == 1
+        assert separate_on(monkeypatch, 1, fortran, hp).cost_trace.size == 1

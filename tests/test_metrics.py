@@ -243,8 +243,17 @@ class TestSdrProjection:
             one_pair(ref, ref, taps=512)
 
     def test_taps_must_be_positive(self):
-        with pytest.raises(ValueError, match="taps"):
-            metrics.align_permutation([np.ones(10)], [np.ones(10)], taps=0)
+        # any integer of at least 1, numpy's included; a bool is not a count
+        for taps in (0, 2.5, True, np.int64(0), -3):
+            with pytest.raises(ValueError, match="taps"):
+                metrics.align_permutation([np.ones(10)], [np.ones(10)], taps=taps)
+            with pytest.raises(ValueError, match="taps"):
+                metrics.check_reference("x.wav", np.ones(10), taps)
+        rng = np.random.default_rng(5)
+        ref = rng.standard_normal(500)
+        est = ref + rng.standard_normal(500)
+        assert one_pair(ref, est, np.int64(16)) == one_pair(ref, est, 16)
+        metrics.check_reference("x.wav", ref, np.int64(16))
 
 
 class TestAlignPermutation:
@@ -362,12 +371,13 @@ class TestAlignPermutation:
 
     def test_zero_reference_is_named(self):
         noise = np.random.default_rng(16).standard_normal(64)
-        with pytest.raises(ZeroReferenceError, match="^reference 0: "):
+        message = r"^reference 0 is all-zero over the 64 scored samples$"
+        with pytest.raises(ZeroReferenceError, match=message):
             metrics.align_permutation([np.zeros(64), noise], [noise, noise], taps=4)
         # check_reference rejects what align_permutation rejects, including a
         # reference whose energy underflows to zero
         tiny = np.full(64, 1e-200)
-        with pytest.raises(ZeroReferenceError, match="^reference 0: "):
+        with pytest.raises(ZeroReferenceError, match=message):
             metrics.align_permutation([tiny], [noise], taps=4)
         for silent in (np.zeros(64), tiny):
             with pytest.raises(ZeroReferenceError,
@@ -375,7 +385,8 @@ class TestAlignPermutation:
                 metrics.check_reference("silent.wav", silent, taps=4)
 
     def test_empty_reference_is_all_zero(self):
-        with pytest.raises(ZeroReferenceError, match="^reference 0: "):
+        with pytest.raises(ZeroReferenceError,
+                           match=r"^reference 0 is all-zero over the 0 scored samples$"):
             metrics.align_permutation([np.zeros(0)], [np.zeros(0)], taps=4)
 
     def test_strided_signals_score_as_their_copies(self):
