@@ -140,7 +140,6 @@ class RunState:
     # which the power refresh fills with y a block of bins at a time
     work: np.ndarray
     pool: ThreadPoolExecutor | None = None  # helper threads; unused at one worker
-    workers: int = 1
     cost_trace: list = field(default_factory=list)
     events: list = field(default_factory=list)
 
@@ -286,7 +285,7 @@ def _refresh_power(state):
     """
     num_bins, _, m = state.obs.shape
     fitting = -(-num_bins // max(num_bins // m, 1))  # fewest blocks the planes hold
-    parts = -(-fitting // state.workers) * state.workers
+    parts = -(-fitting // len(state.work)) * len(state.work)
 
     def refresh(bins, planes):
         obs = state.obs[bins]
@@ -326,7 +325,7 @@ def _ip_sweep(state, nu, p, iteration):
         n, bins = task
         covs[n, bins] = _covariance(state, n, nu, p, planes, bins)
 
-    blocks = _bin_blocks(state.obs.shape[0], state.workers)
+    blocks = _bin_blocks(state.obs.shape[0], len(state.work))
     _run(state, covariance, [(n, bins) for n in _sources(state) for bins in blocks])
     for n, cov in enumerate(covs):
         w, singular = demix.ip_update(state.demixing, cov, n)
@@ -402,7 +401,6 @@ def _init_state(spec, hp, p, pool=None, workers=1):
         sigma_p=recompute_scale(basis, activation, p),
         work=np.empty((workers, 2, num_bins, num_frames)),
         pool=pool,
-        workers=workers,
     )
     _refresh_power(state)
     return state
@@ -521,6 +519,7 @@ def _finalize(state, spec, hp, started):
                                    _covariance(state, n, hp.nu, hp.p, planes), n)
 
     head_residual = max(_run(state, residual, _sources(state)))
+    workers = len(state.work)
     state.power = state.stats = state.sigma_p = state.work = None
     y = state.obs @ state.demixing.transpose(0, 2, 1)  # y_ij = W_i x_ij, (bins, frames, sources)
     state.obs = None
@@ -532,7 +531,7 @@ def _finalize(state, spec, hp, started):
         "stage_boundary": hp.gaussian_iters or None,
         "events": list(state.events),
         "head_residual": head_residual,
-        "workers": state.workers,
+        "workers": workers,
         "elapsed_seconds": time.perf_counter() - started,
     }
     return SeparationResult(

@@ -9,16 +9,18 @@ overlap by ``taps - 1``, the reference into the first ``hop`` samples of
 each block, zero-padded, and the products of their spectra, summed over
 blocks, give the linear correlations from one short inverse transform.
 Blocks are transformed a few at a time, so the working set does not grow
-with the signal length.  Its
-normal equations are a symmetric Toeplitz matrix indexed from one
-reference's autocorrelation.  Such a matrix is centrosymmetric, so it is
-checked and solved as two half-size symmetric systems, one for the
-filter's symmetric part and one for its antisymmetric part.
+with the signal length.  Its normal equations are a symmetric Toeplitz
+matrix in one reference's autocorrelation.  Such a matrix is
+centrosymmetric, so they are built straight from the lags as two half-size
+symmetric systems, one for the filter's symmetric part and one for its
+antisymmetric part, and checked and solved there; no full Gram matrix is
+formed.
 ``align_permutation`` handles each reference once: one condition check and
 one solve, with every estimate and the mixture as right-hand sides.  The
-projected and residual energies are quadratic forms in the solved filter,
-so no projection is rebuilt; the residual's rounding grows like
-eps·10^(SDR/10) relative to the signal energy (about 1e-5 dB at 99 dB).
+projected and residual energies are quadratic forms in the folded filter,
+so neither the projection nor the filter itself is rebuilt; the residual's
+rounding grows like eps·10^(SDR/10) relative to the signal energy (about
+1e-5 dB at 99 dB).
 
 Scores are capped at +/-100 dB so reports stay finite and comparable; a
 perfect match reports the cap rather than infinity, and a silent estimate
@@ -121,70 +123,51 @@ def _correlations(references, signals, taps):
     return lags, np.fft.irfft(cross, block)[:, :, :taps].transpose(0, 2, 1)
 
 
-def _half_systems(gram):
-    """The two half-size symmetric matrices E and O whose eigenvalues
-    together are those of the symmetric Toeplitz matrix ``gram``.
-
-    A symmetric Toeplitz matrix G of order n is centrosymmetric: it commutes
-    with the exchange matrix J.  With h = n // 2, A = G[:h, :h] and BJ the
-    block G[:h, n-h:] with its columns reversed, the orthogonal change of
-    basis to vectors symmetric and antisymmetric under J turns G into
-    diag(E, O) with E = A + BJ and O = A - BJ; for odd n, E also takes G's
-    middle row and column, scaled by sqrt(2) off the diagonal.
-    """
-    n = gram.shape[0]
+def _fold(vectors):
+    """The symmetric part ``v[:h] + v[::-1][:h]`` of ``vectors`` (n, ...),
+    with sqrt(2) times the middle entry appended for odd n, and the
+    antisymmetric part ``v[:h] - v[::-1][:h]``, where h = n // 2: up to
+    sqrt(2), the orthogonal change of basis to the half systems."""
+    n = vectors.shape[0]
     h = n // 2
-    top = gram[:h, :h]
-    flipped = gram[:h, n - h:][:, ::-1]
-    even = np.empty((n - h, n - h))
-    even[:h, :h] = top + flipped
+    head, tail = vectors[:h], vectors[::-1][:h]
+    sym = np.empty((n - h,) + vectors.shape[1:])
+    sym[:h] = head + tail
     if n % 2:
-        even[:h, h] = even[h, :h] = np.sqrt(2.0) * gram[:h, h]
-        even[h, h] = gram[h, h]
-    return even, top - flipped
+        sym[h] = np.sqrt(2.0) * vectors[h]
+    return sym, head - tail
 
 
-def _half_solve(even, odd, rhs):
-    """Solution c of G c = ``rhs`` from ``_half_systems(G)``.
+def _half_systems(name, lags):
+    """The normal equations of the reference ``name`` as the two half-size
+    symmetric systems E and O, built from its ``lags`` 0..taps-1; raises
+    ``IllConditionedProjectionError`` when they are too ill-conditioned to solve.
 
-    The symmetric part c[:h] + c[::-1][:h] (with sqrt(2) times the middle
-    entry for odd n) solves in E against rhs's symmetric part, and the
-    antisymmetric part c[:h] - c[::-1][:h] in O against rhs's antisymmetric
-    part.
+    The Toeplitz Gram matrix G[a, b] = lags[|a - b|] of order n commutes
+    with reversal, so ``_fold`` turns it into diag(E, O).  Over the first
+    n - h rows and columns, with h = n // 2, E = T + H and O = (T - H)[:h, :h]
+    for the Toeplitz part T[a, b] = lags[|a - b|] and the Hankel part
+    H[a, b] = lags[n - 1 - a - b]; for odd n, E's middle row and column are
+    then divided by sqrt(2).  No n x n array is formed.
     """
-    n = rhs.shape[0]
+    n = lags.shape[0]
     h = n // 2
-    head, tail = rhs[:h], rhs[n - h:][::-1]
-    sym_rhs = np.empty((n - h,) + rhs.shape[1:])
-    sym_rhs[:h] = head + tail
+    # both parts as read-only views of one vector each
+    toeplitz = sliding_window_view(np.r_[lags[n - h - 1 : 0 : -1], lags[: n - h]], n - h)[::-1]
+    hankel = sliding_window_view(lags[::-1][: 2 * (n - h) - 1], n - h)
+    even = toeplitz + hankel
     if n % 2:
-        sym_rhs[h] = np.sqrt(2.0) * rhs[h]
-    sym = np.linalg.solve(even, sym_rhs)
-    anti = np.linalg.solve(odd, head - tail)
-    coef = np.empty(rhs.shape)
-    coef[:h] = 0.5 * (sym[:h] + anti)
-    coef[n - h:] = (0.5 * (sym[:h] - anti))[::-1]
-    if n % 2:
-        coef[h] = sym[h] / np.sqrt(2.0)
-    return coef
-
-
-def _normal_equations(name, lags):
-    """Toeplitz Gram matrix of the reference ``name`` from its ``lags`` 0..taps-1,
-    and its half systems E and O; raises ``IllConditionedProjectionError``
-    when the Gram matrix is too ill-conditioned to solve."""
-    taps = lags.shape[0]
-    delay = np.arange(taps)
-    gram = lags[np.abs(delay[:, None] - delay)]
-    even, odd = _half_systems(gram)
-    # the Gram matrix is symmetric, so its 2-norm condition number is the
-    # ratio of its extreme eigenvalue magnitudes, which E and O hold between them
+        even[h] /= np.sqrt(2.0)
+        even[:, h] /= np.sqrt(2.0)
+    odd = toeplitz[:h, :h] - hankel[:h, :h]
+    # G is symmetric, so its 2-norm condition number is the ratio of its
+    # extreme eigenvalue magnitudes, which E and O hold between them
     magnitude = np.abs(np.concatenate([np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd)]))
     if not magnitude.max() <= MAX_CONDITION * magnitude.min():
         raise IllConditionedProjectionError(
-            f"{name}: projection normal equations ill-conditioned (taps={taps})"
+            f"{name}: projection normal equations ill-conditioned (taps={n})"
         )
-    return gram, even, odd
+    return even, odd
 
 
 def _projection_scores(name, lags, cross, energies):
@@ -192,22 +175,28 @@ def _projection_scores(name, lags, cross, energies):
 
     ``lags`` holds the reference's autocorrelation at lags 0..taps-1,
     ``cross`` each signal's correlation with it, ``(taps, signals)``, and
-    ``energies`` each signal's sum of squares.  The reference's Toeplitz
-    normal equations are checked and solved once, with every signal as a
-    right-hand side.
+    ``energies`` each signal's sum of squares.  The reference's half systems
+    are checked and solved once, with every signal's folded correlations as
+    right-hand sides, and the filter stays folded.
 
     For a signal s with cross-correlations b and solved filter c, the
-    projected energy is cᵀGc and the residual energy ‖s‖² − 2cᵀb + cᵀGc.
+    projected energy is cᵀGc and the residual energy ‖s‖² − 2cᵀb + cᵀGc;
+    ``_fold`` is orthogonal up to sqrt(2), so in the folded parts of c and b
+    cᵀGc = ½(symᵀ E sym + antiᵀ O anti) and cᵀb = ½(symᵀ sym_rhs + antiᵀ anti_rhs).
     An error in the solve enters the residual only to second order, but the
     residual cancels against ‖s‖², so its rounding error is about eps·‖s‖²,
     eps·10^(SDR/10) times the residual itself: about 1e-7 dB at 80 dB and
     1e-5 dB at 99 dB.  A silent signal solves to c = 0, so both energies
     are 0 and it scores -CAP_DB.
     """
-    gram, even, odd = _normal_equations(name, lags)
-    coef = _half_solve(even, odd, cross)
-    signal_energy = np.sum(coef * (gram @ coef), axis=0)
-    error_energy = energies - 2.0 * np.sum(coef * cross, axis=0) + signal_energy
+    even, odd = _half_systems(name, lags)
+    sym_rhs, anti_rhs = _fold(cross)
+    sym = np.linalg.solve(even, sym_rhs)
+    anti = np.linalg.solve(odd, anti_rhs)
+    signal_energy = 0.5 * (np.sum(sym * (even @ sym), axis=0)
+                           + np.sum(anti * (odd @ anti), axis=0))
+    twice_projection = np.sum(sym * sym_rhs, axis=0) + np.sum(anti * anti_rhs, axis=0)
+    error_energy = energies - twice_projection + signal_energy
     return [_capped_db(s, e) for s, e in zip(signal_energy, error_energy)]
 
 
@@ -248,7 +237,7 @@ def check_reference(name, reference, taps):
     taps = _taps(taps)
     reference = _reference(name, reference, len(reference))
     lags, _ = _correlations([reference], [], taps)
-    _normal_equations(name, lags[0])
+    _half_systems(name, lags[0])
 
 
 @dataclass

@@ -116,10 +116,12 @@ def write_wav(path, buffer, rate, bit_depth="float64"):
     Parameters
     ----------
     buffer: ndarray (num_samples,) or (num_samples, num_channels)
-    rate: sample rate in Hz
+    rate: sample rate in Hz, a whole number such as ``read_wav`` returns
     bit_depth: one of pcm16 / pcm24 / pcm32 / float32 / float64
 
     Integer encodings clip to [-1, 1] first; clipped samples are logged.
+    Raises ``ValueError`` for non-finite samples, or a rate below 1 Hz, not
+    whole or too large for the header's 32-bit rate and byte-rate fields.
     """
     if bit_depth not in _ENCODINGS:
         raise UnsupportedFormatError(f"unknown encoding {bit_depth!r}")
@@ -133,6 +135,11 @@ def write_wav(path, buffer, rate, bit_depth="float64"):
     channels = buffer.shape[1]
     if not 1 <= channels <= MAX_CHANNELS:
         raise UnsupportedFormatError(f"{channels} channels not supported")
+    block_align = channels * (bits // 8)
+    # NaN fails the first comparison, so int() never sees it
+    if not (1 <= rate and rate * block_align <= 0xFFFFFFFF and rate % 1 == 0):
+        raise ValueError(f"sample rate {rate!r} Hz does not fit a WAV header: it must be"
+                         f" a whole number from 1 to {0xFFFFFFFF // block_align}")
 
     if fmt == _FMT_FLOAT:
         payload = buffer.astype("<f4" if bits == 32 else "<f8").tobytes()
@@ -148,7 +155,6 @@ def write_wav(path, buffer, rate, bit_depth="float64"):
         else:
             payload = ints.astype("<i2" if bits == 16 else "<i4").tobytes()
 
-    block_align = channels * (bits // 8)
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
         b"RIFF",

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,19 +214,33 @@ class TestSdrProjection:
         signal = rng.standard_normal(4 * order)
         lags = np.array([signal[d:] @ signal[: signal.size - d] for d in range(order)])
         delay = np.arange(order)
-        gram = lags[np.abs(delay[:, None] - delay)]
-        even, odd = metrics._half_systems(gram)
+        gram = lags[np.abs(delay[:, None] - delay)]  # the full Toeplitz Gram, as the oracle
+        even, odd = metrics._half_systems("x", lags)
         assert even.shape == ((order + 1) // 2,) * 2 and odd.shape == (order // 2,) * 2
         full = np.linalg.eigvalsh(gram)
         halves = np.sort(np.concatenate([np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd)]))
         # backward-stable eigenvalues are exact to a few eps times the norm
         np.testing.assert_allclose(halves, full, rtol=0, atol=1e-13 * order * full[-1])
         rhs = rng.standard_normal((order, 3))
-        expected = np.linalg.solve(gram, rhs)
+        coef = np.linalg.solve(gram, rhs)
+        sym_rhs, anti_rhs = metrics._fold(rhs)
+        solved = np.linalg.solve(even, sym_rhs), np.linalg.solve(odd, anti_rhs)
         # both solves are exact to about eps times the condition number
-        bound = 1e-14 * order * (full[-1] / full[0]) * np.max(np.abs(expected))
-        np.testing.assert_allclose(metrics._half_solve(even, odd, rhs), expected,
-                                   rtol=0, atol=bound)
+        bound = 1e-14 * order * (full[-1] / full[0]) * np.max(np.abs(coef))
+        for part, part_expected in zip(solved, metrics._fold(coef)):
+            np.testing.assert_allclose(part, part_expected, rtol=0, atol=bound)
+
+    def test_reference_check_forms_no_full_gram(self):
+        # at 2,000 taps a full Gram and its index array alone are 64 MB; the
+        # half systems are 8 MB each
+        ref = np.random.default_rng(9).standard_normal(8000)
+        tracemalloc.start()
+        try:
+            metrics.check_reference("x.wav", ref, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6, peak
 
     def test_monotone_in_taps(self):
         rng = np.random.default_rng(8)

@@ -142,6 +142,16 @@ class TestErrorPaths:
         with pytest.raises(ValueError):
             wavio.write_wav(tmp_path / "x.wav", np.array([0.0, np.nan]), 8000)
 
+    @pytest.mark.parametrize("rate", [0, -8000, 8000.5, float("nan"), 2**32, 2**31])
+    def test_rate_that_does_not_fit_the_header_rejected(self, tmp_path, rate):
+        # 2**31 fits the rate field, but not the float64 byte rate 8 * 2**31
+        with pytest.raises(ValueError, match=re.escape(f"sample rate {rate!r} Hz")):
+            wavio.write_wav(tmp_path / "x.wav", np.zeros(4), rate)
+
+    def test_float_rate_round_trips(self, tmp_path):
+        wavio.write_wav(tmp_path / "x.wav", np.zeros(4), 8000.0)
+        assert wavio.read_wav(tmp_path / "x.wav")[1] == 8000.0
+
 
 class TestExtensible:
     def test_extensible_pcm_is_read(self, tmp_path):
