@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateSourceError, SingularMatrixError
-from .source_model import _t_weight
+from .source_model import _t_weight, sigma_squared
 
 # Sources whose average power drops below this are considered collapsed.
 DEGENERATE_POWER = 1e-150
@@ -83,7 +83,7 @@ def outer_products(obs):
     return stats
 
 
-def weighted_covariance(stats, power, sigma_sq, nu, scratch=None):
+def weighted_covariance(stats, power, sigma_p, p, nu, scratch):
     """Weighted sample covariances of one source in every bin.
 
     U_i = (1 + 2/nu)/J sum_j weight_ij x_ij x_ij^H, formed as one real
@@ -96,21 +96,23 @@ def weighted_covariance(stats, power, sigma_sq, nu, scratch=None):
         ``outer_products`` of the observation.
     power: ndarray (bins, frames)
         |y|^2 of this source's current estimate.
-    sigma_sq: ndarray (bins, frames)
-        Squared scale of this source.
+    sigma_p: ndarray (bins, frames)
+        Scale tensor sigma^p of this source.
+    p: float
+        Domain exponent of the scale model.
     nu: float
         Degrees of freedom; ``inf`` gives (1/J) sum x x^H / sigma^2 exactly.
-    scratch: ndarray (bins, frames), optional
-        Plane for the weights, in place of a fresh one.
+    scratch: ndarray (2, bins, frames)
+        Planes for sigma^2, which needs none at p=2, and for the weights.
 
     Returns
     -------
     ndarray (bins, M, M), complex, Hermitian positive semidefinite.
     """
-    # sigma_sq > 0 is a caller contract.  The source model floors sigma^p
+    # sigma^p > 0 is a caller contract.  The source model floors sigma^p
     # where it produces it; after ``normalize`` a floored slot holds
-    # eta^-p times the floor, so sigma_sq may sit below FLOOR.
-    w = _t_weight(sigma_sq, power, nu, out=scratch)
+    # eta^-p times the floor, so sigma^2 may sit below FLOOR.
+    w = _t_weight(sigma_squared(sigma_p, p, out=scratch[0]), power, nu, out=scratch[1])
     coords = (w[:, None, :] @ stats)[:, 0, :]
     coords *= (1.0 + 2.0 / nu) / stats.shape[1]
     m = math.isqrt(stats.shape[2])

@@ -18,15 +18,16 @@ so a caller that writes the sources in turn holds one image at a time.
 
 Work that is independent across sources or bins runs on a thread pool with
 one thread per CPU the process may use, at most MAX_WORKERS (numpy releases
-the interpreter lock inside its array loops and BLAS calls).  The sweep's
-weighted covariances run a source and a block of bins per task (the row
-solves that use them stay sequential), the power refresh a block of bins
-per task, and the source step, the domain refit and the head residual one
-task per source.  Each thread owns two work planes of (bins, frames) reals
-and lends them to every task it runs.  Every task does the same arithmetic
-in the same order as a serial run and writes only its own slice of the run
-state and its thread's planes, so the output is byte-identical for any
-thread count.  With one CPU the calling thread runs every task itself.
+the interpreter lock inside its array loops and BLAS calls).  The weighted
+covariances run a source and a block of bins per task, in one pass read by
+the sweep's row solves and the head residual (both on the calling thread),
+the power refresh a block of bins per task, and the source step and the
+domain refit one task per source.  Each thread owns two work planes of
+(bins, frames) reals and lends them to every task it runs.  Every task does
+the same arithmetic in the same order as a serial run and writes only its
+own slice of the run state and its thread's planes, so the output is
+byte-identical for any thread count.  With one CPU the calling thread runs
+every task itself.
 
 A run holds, per bin and frame, the observation (16M bytes at M sources),
 its outer products (8M^2), the power and the scales (16M) and the work
@@ -104,6 +105,11 @@ class HyperParams:
             if value < least:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
             object.__setattr__(self, name, int(value))  # numpy integers as plain ints
+        for name in ("nu", "p"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            object.__setattr__(self, name, float(value))  # numpy floats as plain floats
         if not self.nu > 0:
             raise ValueError("nu must be positive (inf selects the Gaussian model)")
         if not 1.0 <= self.p <= 2.0:
@@ -193,7 +199,7 @@ def _determinant_term(demixing, num_frames):
     return -2.0 * num_frames * float(np.sum(log_abs_det(demixing)))
 
 
-def _source_cost(power, sigma_p, nu, p, scratch):
+def _source_cost(power, sigma_p, p, nu, scratch):
     """Data term of one source, summed over its bins and frames.
 
     Gaussian (nu=inf, p=2): sum(log r + |y|^2 / r).  Otherwise:
@@ -300,13 +306,20 @@ def _refresh_power(state):
     _run(state, refresh, _bin_blocks(num_bins, parts))
 
 
-def _covariance(state, n, nu, p, planes, bins=slice(None)):
-    """Weighted covariances of source n in the given bins, (bins, M, M), formed
-    in the given pair of work planes."""
-    work = planes[:, bins]
-    sig_sq = sigma_squared(state.sigma_p[n, bins], p, out=work[0])
-    return demix.weighted_covariance(state.stats[bins], state.power[n, bins], sig_sq, nu,
-                                     scratch=work[1])
+def _covariances(state, nu, p):
+    """Weighted covariances of every source, (sources, bins, M, M), formed on
+    the pool a source and a block of bins per task, which keeps the threads
+    evenly loaded when the sources do not divide among them."""
+    covs = np.empty((len(state.basis),) + state.demixing.shape, dtype=np.complex128)
+
+    def covariance(task, planes):
+        n, bins = task
+        covs[n, bins] = demix.weighted_covariance(state.stats[bins], state.power[n, bins],
+                                                  state.sigma_p[n, bins], p, nu, planes[:, bins])
+
+    blocks = _bin_blocks(state.obs.shape[0], len(state.work))
+    _run(state, covariance, [(n, bins) for n in _sources(state) for bins in blocks])
+    return covs
 
 
 def _ip_sweep(state, nu, p, iteration):
@@ -315,19 +328,9 @@ def _ip_sweep(state, nu, p, iteration):
     Bins are independent, so every bin sees the same sequence of row
     updates as a sweep over that bin alone.  Source n's covariances depend
     on |y_n|^2 and its scale, which the sweep does not change, so all of
-    them are formed up front, on the pool: a source and a block of bins
-    per task, which keeps the threads evenly loaded when the sources do
-    not divide among them.
+    them are formed up front.
     """
-    covs = np.empty((len(state.basis),) + state.demixing.shape, dtype=np.complex128)
-
-    def covariance(task, planes):
-        n, bins = task
-        covs[n, bins] = _covariance(state, n, nu, p, planes, bins)
-
-    blocks = _bin_blocks(state.obs.shape[0], len(state.work))
-    _run(state, covariance, [(n, bins) for n in _sources(state) for bins in blocks])
-    for n, cov in enumerate(covs):
+    for n, cov in enumerate(_covariances(state, nu, p)):
         w, singular = demix.ip_update(state.demixing, cov, n)
         if singular.any():
             w[singular] = _ridge_retry(state, cov, n, np.flatnonzero(singular), iteration)
@@ -358,7 +361,7 @@ def _source_step(state, nu, p):
         update_factors(state.basis[n], state.activation[n], state.power[n], state.sigma_p[n],
                        p, nu, planes)
         demix.normalize(state.demixing, state.power, state.sigma_p, state.basis, p, n)
-        return _source_cost(state.power[n], state.sigma_p[n], nu, p, planes)
+        return _source_cost(state.power[n], state.sigma_p[n], p, nu, planes)
 
     terms = _run(state, step, _sources(state))
     total = _determinant_term(state.demixing, state.power.shape[2])
@@ -514,13 +517,10 @@ def _check_memory(spec, workers):
 def _finalize(state, spec, hp, started):
     # the covariances, the power, the scales, the outer products and the work
     # planes are all released before y exists, and the observation once it does
-    def residual(n, planes):
-        return demix.head_residual(state.demixing,
-                                   _covariance(state, n, hp.nu, hp.p, planes), n)
-
-    head_residual = max(_run(state, residual, _sources(state)))
+    covs = _covariances(state, hp.nu, hp.p)
+    head_residual = max(demix.head_residual(state.demixing, cov, n) for n, cov in enumerate(covs))
     workers = len(state.work)
-    state.power = state.stats = state.sigma_p = state.work = None
+    covs = state.power = state.stats = state.sigma_p = state.work = None
     y = state.obs @ state.demixing.transpose(0, 2, 1)  # y_ij = W_i x_ij, (bins, frames, sources)
     state.obs = None
     # solved for every source before any image exists, so a singular W

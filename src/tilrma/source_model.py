@@ -44,8 +44,6 @@ def init_factors(num_sources, num_bins, num_frames, num_bases, seed):
     ``SeedSequence(seed).spawn(num_sources)``.  Returns the stacks
     (basis, activation), (sources, bins, bases) and (sources, bases, frames).
     """
-    if num_bases < 1:
-        raise ValueError("need at least one basis")
     basis = np.empty((num_sources, num_bins, num_bases))
     activation = np.empty((num_sources, num_bases, num_frames))
     span = 1.0 - FLOOR
@@ -150,8 +148,6 @@ def convert_domain(basis, activation, sigma_p, p, new_p, refit_iters, scratch):
     refit's power and its update temporaries.  At an unchanged exponent
     nothing changes.
     """
-    if not 1.0 <= new_p <= 2.0:
-        raise ValueError(f"domain exponent p must lie in [1, 2], got {new_p}")
     if new_p == p:
         return
 

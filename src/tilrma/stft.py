@@ -9,6 +9,7 @@ the round trip reconstructs it exactly.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,9 +84,10 @@ class StftConfig:
 class ComplexSpectrogram:
     """One-sided complex spectrogram, shape (num_bins, num_frames, num_streams).
 
-    ``values`` is held as C-contiguous complex128, the layout the engine uses.
-    ``num_samples`` remembers the time-domain length so synthesis can trim
-    the padding that analysis added.
+    ``values`` is held as C-contiguous complex128, the layout the engine uses,
+    with at least one frame.  ``num_samples`` remembers the time-domain
+    length so synthesis can trim the padding that analysis added; it is at
+    most the length that synthesis fills.
     """
 
     values: np.ndarray
@@ -96,6 +98,8 @@ class ComplexSpectrogram:
         self.values = np.ascontiguousarray(self.values, dtype=np.complex128)
         if self.values.ndim != 3:
             raise ValueError("spectrogram values must be (bins, frames, streams)")
+        if self.values.shape[1] < 1:
+            raise ValueError("a spectrogram needs at least one frame, got 0")
         if self.values.shape[0] != self.config.num_bins:
             raise ValueError(
                 f"bin count {self.values.shape[0]} does not match config "
@@ -103,6 +107,14 @@ class ComplexSpectrogram:
             )
         if not np.all(np.isfinite(self.values)):
             raise ValueError("spectrogram values must be finite")
+        # the samples ``synthesize`` fills: the padded frame grid less the front pad
+        win, count = self.config.window_samples, self.num_samples
+        filled = (self.num_frames - 1) * self.config.shift_samples + win - win // 2
+        if (isinstance(count, bool) or not isinstance(count, numbers.Integral)
+                or not 0 <= count <= filled):
+            raise ValueError(f"num_samples must be an integer from 0 to {filled} (what "
+                             f"{self.num_frames} frames fill), got {count!r}")
+        self.num_samples = int(count)  # numpy integers as plain ints
 
     @property
     def num_bins(self):
@@ -152,6 +164,9 @@ def analyze(signal, cfg):
     signal = np.asarray(signal, dtype=np.float64)
     if signal.ndim == 1:
         signal = signal[:, None]
+    if signal.ndim != 2:
+        raise ValueError(f"signal must be (num_samples,) or (num_samples, num_channels), "
+                         f"got shape {signal.shape}")
     num_samples = signal.shape[0]
     win_len = cfg.window_samples
     hop = cfg.shift_samples

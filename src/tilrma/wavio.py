@@ -120,8 +120,9 @@ def write_wav(path, buffer, rate, bit_depth="float64"):
     bit_depth: one of pcm16 / pcm24 / pcm32 / float32 / float64
 
     Integer encodings clip to [-1, 1] first; clipped samples are logged.
-    Raises ``ValueError`` for non-finite samples, or a rate below 1 Hz, not
-    whole or too large for the header's 32-bit rate and byte-rate fields.
+    Raises ``ValueError`` for a buffer that is not 1-D or 2-D, non-finite
+    samples, or a rate below 1 Hz, not whole or too large for the header's
+    32-bit rate and byte-rate fields.
     """
     if bit_depth not in _ENCODINGS:
         raise UnsupportedFormatError(f"unknown encoding {bit_depth!r}")
@@ -130,6 +131,9 @@ def write_wav(path, buffer, rate, bit_depth="float64"):
     buffer = np.asarray(buffer, dtype=np.float64)
     if buffer.ndim == 1:
         buffer = buffer[:, None]
+    if buffer.ndim != 2:
+        raise ValueError(f"samples must be (num_samples,) or (num_samples, num_channels), "
+                         f"got shape {buffer.shape}")
     if not np.all(np.isfinite(buffer)):
         raise ValueError("samples must be finite")
     channels = buffer.shape[1]

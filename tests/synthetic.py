@@ -186,7 +186,7 @@ def check_jensen_inequality(z, mu, p):
     return lhs, rhs, lhs <= rhs + 1e-12 * max(1.0, abs(lhs))
 
 
-def cost_value(demixing, power, sigma_p, nu, p):
+def cost_value(demixing, power, sigma_p, p, nu):
     """Negative log-likelihood with additive constants dropped, summed from the
     engine's own terms as ``engine._source_step`` sums them.
 
@@ -198,7 +198,7 @@ def cost_value(demixing, power, sigma_p, nu, p):
     total = _determinant_term(demixing, power.shape[2])
     scratch = np.empty((2,) + power.shape[1:])
     for pw, sp in zip(power, sigma_p):
-        total += _source_cost(pw, sp, nu, p, scratch)
+        total += _source_cost(pw, sp, p, nu, scratch)
     return total
 
 
@@ -312,7 +312,7 @@ def check_majorizer_touch(seed, nu, p, num_bins=4, num_frames=5, num_sources=2, 
     demixing, power, basis, activation = random_state(seed, num_bins, num_frames,
                                                       num_sources, rank)
     sigma_p = recompute_scale(basis, activation, p)
-    exact = cost_value(demixing, power, sigma_p, nu, p)
+    exact = cost_value(demixing, power, sigma_p, p, nu)
     alpha, beta, gamma = optimal_auxiliaries(power, basis, activation, p, nu)
     tangent = majorizer_tangent(demixing, power, basis, activation, p, nu, alpha, beta)
     jensen = majorizer_jensen(demixing, power, basis, activation, p, nu, alpha, beta, gamma)

@@ -193,10 +193,10 @@ def test_criterion_5_structural_identities():
         for n in range(2):
             update_factors(state.basis[n], state.activation[n], state.power[n],
                            state.sigma_p[n], p, nu, state.work[0])
-        before = cost_value(state.demixing, state.power, state.sigma_p, nu, p)
+        before = cost_value(state.demixing, state.power, state.sigma_p, p, nu)
         for n in range(2):
             demix.normalize(state.demixing, state.power, state.sigma_p, state.basis, p, n)
-        after = cost_value(state.demixing, state.power, state.sigma_p, nu, p)
+        after = cost_value(state.demixing, state.power, state.sigma_p, p, nu)
         worst_invariance = max(worst_invariance, abs(after - before) / abs(before))
         y = np.einsum("inm,ijm->ijn", state.demixing, state.obs)
         total = sum(demix.back_project(y, demix.mixing_column(state.demixing, n), n)

@@ -15,10 +15,16 @@ def random_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def covariance(stats, power, sigma_sq, nu):
+    # sigma^2 is the scale tensor sigma^p at p=2, which needs no plane of its own
+    return demix.weighted_covariance(stats, power, sigma_sq, 2.0, nu,
+                                     np.empty((2,) + power.shape))
+
+
 def covariance_of_bin(x_frames, y, sigma_sq, nu):
     # the stacked covariance of a one-bin stack; x_frames is (channels, frames)
     stats = demix.outer_products(x_frames.T[None])
-    return demix.weighted_covariance(stats, np.abs(y[None]) ** 2, sigma_sq[None], nu)[0]
+    return covariance(stats, np.abs(y[None]) ** 2, sigma_sq[None], nu)[0]
 
 
 def ip_update_of_bin(w_mat, cov, n):
@@ -92,7 +98,7 @@ class TestWeightedCovariance:
         sigma_sq = 0.5 + rng.random((4, 10))
         for nu in (2.0, math.inf):
             stats = demix.outer_products(x.transpose(0, 2, 1))
-            ours = demix.weighted_covariance(stats, np.abs(y) ** 2, sigma_sq, nu)
+            ours = covariance(stats, np.abs(y) ** 2, sigma_sq, nu)
             for i in range(4):
                 oracle = covariance_oracle(x[i], y[i], sigma_sq[i], nu)
                 assert np.max(np.abs(ours[i] - oracle)) <= 1e-12 * np.max(np.abs(oracle))
@@ -107,7 +113,7 @@ class TestWeightedCovariance:
         sigma_sq[:, 0], sigma_sq[:, 1] = 1e-12, 1.0
         stats = demix.outer_products(x.transpose(0, 2, 1))
         for nu in (1.0, 10.0, math.inf):
-            ours = demix.weighted_covariance(stats, np.abs(y) ** 2, sigma_sq, nu)
+            ours = covariance(stats, np.abs(y) ** 2, sigma_sq, nu)
             for i in range(3):
                 oracle = covariance_oracle(x[i], y[i], sigma_sq[i], nu)
                 assert np.max(np.abs(ours[i] - oracle)) <= 1e-12 * np.max(np.abs(oracle))
@@ -174,7 +180,7 @@ class TestIpUpdate:
         rng = np.random.default_rng(15)
         x = random_complex(rng, 4, 3, 10)
         stats = demix.outer_products(x.transpose(0, 2, 1))
-        cov = demix.weighted_covariance(stats, np.zeros((4, 10)), np.ones((4, 10)), math.inf)
+        cov = covariance(stats, np.zeros((4, 10)), np.ones((4, 10)), math.inf)
         cov[1] = 0.0  # W U is exactly singular: LAPACK fails on this bin
         cov[3] = 1e-310 * np.eye(3)  # solvable, but the quadratic form collapses
         w_stack = random_complex(rng, 4, 3, 3)
@@ -275,10 +281,10 @@ class TestNormalize:
             sigma_p = recompute_scale(basis, activation, p)
             assert np.all(sigma_p[0, 1] == scale_floor(p))
             power *= 3.0**2 / np.mean(power)
-        before = cost_value(w_stack, power, sigma_p, nu, p)
+        before = cost_value(w_stack, power, sigma_p, p, nu)
         for n in range(2):
             demix.normalize(w_stack, power, sigma_p, basis, p, n)
-        after = cost_value(w_stack, power, sigma_p, nu, p)
+        after = cost_value(w_stack, power, sigma_p, p, nu)
         assert after == pytest.approx(before, rel=1e-9)
 
     def test_degenerate_source_raises(self):

@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 import threading
@@ -111,6 +112,20 @@ class TestHyperParams:
             HyperParams(**args)
         assert getattr(HyperParams(**{**args, field: least}), field) == least
 
+    @pytest.mark.parametrize("field", ["nu", "p"])
+    @pytest.mark.parametrize("value", [True, None, "5", 1j])
+    def test_nu_and_p_must_be_real_numbers(self, field, value):
+        # True would pass as 1, and None or "5" would fail in a bare comparison
+        args = {**dict(nu=5.0, p=1.0, num_bases=2), field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be a real number, got "):
+            HyperParams(**args)
+
+    def test_numpy_nu_and_p_are_plain_floats(self):
+        hp = HyperParams(nu=np.float32(10), p=np.int64(1), num_bases=2)
+        assert hp == HyperParams(nu=10.0, p=1.0, num_bases=2)
+        assert type(hp.nu) is float and type(hp.p) is float
+        assert json.loads(json.dumps(hp.to_json()))["nu"] == 10.0
+
     def test_refit_iters_must_be_nonnegative(self):
         with pytest.raises(ValueError, match="refit_iters"):
             HyperParams(nu=5.0, p=1.0, num_bases=2, iterations=10, gaussian_iters=5,
@@ -158,16 +173,16 @@ class TestCost:
         w = np.tile(np.eye(2, dtype=complex), (3, 1, 1))
         y = np.zeros((3, 4, 2), complex)
         sigma_p = np.ones((2, 3, 4))
-        assert cost_value(w, power_of(y), sigma_p, math.inf, 2.0) == 0.0
-        assert cost_value(w, power_of(y), sigma_p, 7.0, 2.0) == 0.0
+        assert cost_value(w, power_of(y), sigma_p, 2.0, math.inf) == 0.0
+        assert cost_value(w, power_of(y), sigma_p, 2.0, 7.0) == 0.0
 
     def test_large_nu_approaches_gaussian(self):
         rng = np.random.default_rng(0)
         w = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
         y = rng.standard_normal((3, 4, 2)) + 1j * rng.standard_normal((3, 4, 2))
         sigma_p = 0.5 + rng.random((2, 3, 4))
-        near = cost_value(w, power_of(y), sigma_p, 1e9, 2.0)
-        exact = cost_value(w, power_of(y), sigma_p, math.inf, 2.0)
+        near = cost_value(w, power_of(y), sigma_p, 2.0, 1e9)
+        exact = cost_value(w, power_of(y), sigma_p, 2.0, math.inf)
         assert near == pytest.approx(exact, rel=1e-6)
 
     @pytest.mark.parametrize("nu,p", [(math.inf, 2.0), (2.0, 1.0), (8.0, 1.5)])
@@ -176,7 +191,7 @@ class TestCost:
         w = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
         y = rng.standard_normal((3, 4, 2)) + 1j * rng.standard_normal((3, 4, 2))
         sigma_p = 0.5 + rng.random((2, 3, 4))
-        ours = cost_value(w, power_of(y), sigma_p, nu, p)
+        ours = cost_value(w, power_of(y), sigma_p, p, nu)
         assert ours == pytest.approx(cost_oracle(w, y, sigma_p, nu, p), rel=1e-10)
 
     def test_singular_bin_is_named(self):
@@ -186,7 +201,7 @@ class TestCost:
         y = rng.standard_normal((4, 3, 2)) + 1j * rng.standard_normal((4, 3, 2))
         sigma_p = 0.5 + rng.random((2, 4, 3))
         with pytest.raises(SingularMatrixError, match=r"^bin 2: "):
-            cost_value(w, power_of(y), sigma_p, 4.0, 1.0)
+            cost_value(w, power_of(y), sigma_p, 1.0, 4.0)
 
 
 def reference_t_ilrma(values, num_bases, seed, nu, p, iterations):

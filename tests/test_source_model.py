@@ -286,10 +286,6 @@ class TestInitFactors:
         b = init_factors(2, 5, 6, 2, seed=2)
         assert not np.array_equal(a[0], b[0])
 
-    def test_rank_validation(self):
-        with pytest.raises(ValueError):
-            init_factors(2, 5, 6, 0, seed=0)
-
     def test_each_source_draws_from_its_own_spawned_stream(self):
         # pins the seeding scheme: a seed gives the factors it always gave
         num_sources, num_bins, num_frames, num_bases, seed = 3, 5, 7, 2, 123
@@ -350,9 +346,3 @@ class TestConvertDomain:
             tracemalloc.stop()
         assert peak < num_bins * num_frames * 8, peak
         assert sp.tobytes() == recompute_scale(t, v, 1.0).tobytes()
-
-    def test_p_validation(self):
-        t, v = scalar_factors(1.0, 1.0)
-        sp = recompute_scale(t, v, 2.0)
-        with pytest.raises(ValueError):
-            convert_domain(t, v, sp, 2.0, 2.5, 10, planes(sp))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -98,6 +99,31 @@ class TestAnalyze:
     def test_multichannel_shape(self):
         spec = analyze(np.zeros((2000, 3)), CFG)
         assert spec.values.shape == (CFG.num_bins, spec.num_frames, 3)
+
+    def test_signal_of_more_than_two_dimensions_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("got shape (600, 2, 2)")):
+            analyze(np.zeros((600, 2, 2)), CFG)
+
+
+class TestComplexSpectrogram:
+    # 65 frames of CFG: synthesis fills 64 shifts and a window, less the half-window front pad
+    FILLED = 64 * 128 + 512 - 256
+
+    def test_zero_frames_rejected(self):
+        with pytest.raises(ValueError, match="at least one frame"):
+            ComplexSpectrogram(np.zeros((CFG.num_bins, 0, 2)), CFG, 0)
+
+    @pytest.mark.parametrize("count", [7.5, -3, 10**6, FILLED + 1, True, None])
+    def test_num_samples_outside_what_synthesis_fills_rejected(self, count):
+        message = rf"^num_samples must be an integer from 0 to {self.FILLED} \(what 65 frames "
+        with pytest.raises(ValueError, match=message):
+            ComplexSpectrogram(np.zeros((CFG.num_bins, 65, 2)), CFG, count)
+
+    @pytest.mark.parametrize("count", [0, np.int64(3), FILLED])
+    def test_num_samples_up_to_what_synthesis_fills_synthesize(self, count):
+        spec = ComplexSpectrogram(np.zeros((CFG.num_bins, 65, 2)), CFG, count)
+        assert type(spec.num_samples) is int
+        assert synthesize(spec).shape == (count, 2)
 
 
 def frame_loop_synthesize(spec):

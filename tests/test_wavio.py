@@ -138,6 +138,12 @@ class TestErrorPaths:
         with pytest.raises(UnsupportedFormatError):
             wavio.write_wav(tmp_path / "x.wav", np.zeros(4), 8000, "alaw")
 
+    @pytest.mark.parametrize("shape", [(4, 2, 2), ()])
+    def test_buffer_that_is_not_one_or_two_dimensional_rejected(self, tmp_path, shape):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            wavio.write_wav(tmp_path / "x.wav", np.zeros(shape), 8000)
+        assert not (tmp_path / "x.wav").exists()
+
     def test_nonfinite_samples_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             wavio.write_wav(tmp_path / "x.wav", np.array([0.0, np.nan]), 8000)
