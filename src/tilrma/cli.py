@@ -102,6 +102,11 @@ def _environment():
 
 
 def cmd_separate(args, hyper):
+    # made only after separating, but its nearest existing part must be a directory
+    out_dir = Path(args.out)
+    existing = next(part for part in (out_dir, *out_dir.parents) if part.exists())
+    if not existing.is_dir():
+        raise TilrmaError(f"--out {args.out}: {existing} exists and is not a directory")
     samples, rate = wavio.read_wav(args.input)
     num_channels = samples.shape[1]
     ref_channel = args.ref_channel - 1
@@ -146,7 +151,6 @@ def cmd_separate(args, hyper):
     result = engine.separate(spec, hyper)
     del spec  # the engine has formed y; the observation is not needed again
     # created only now, so an input the engine rejects leaves no directory behind
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     # one source at a time: its image, its signal and its file

@@ -11,8 +11,7 @@ or named in a ``SingularMatrixError``; numpy's ``LinAlgError`` never escapes.
 The observation enters the covariances only through its outer products
 x_ij x_ij^H, which do not change during a run.  ``outer_products`` stores
 them once as M^2 real coordinates per slot, and ``weighted_covariance`` is
-then one real weighted sum over frames per source, unpacked into the
-Hermitian M x M result.
+then one real weighted sum of them over frames, which ``hermitian`` unpacks.
 """
 
 import math
@@ -62,9 +61,8 @@ def outer_products(obs):
     """Real coordinates of every outer product x_ij x_ij^H, (bins, frames, M^2).
 
     Column m < M holds |x_m|^2; then, for each pair a < b in row-major order
-    (``np.triu_indices(M, 1)``), two columns hold Re and Im of x_a x_b^*.
-    Together they fix the Hermitian matrix x x^H: entry (a, b) above the
-    diagonal is Re + i Im of its pair, and entry (b, a) its conjugate.
+    (``np.triu_indices(M, 1)``), two columns hold Re and Im of x_a x_b^*;
+    ``hermitian`` turns them, or any sum of them, back into matrices.
 
     Parameters
     ----------
@@ -115,15 +113,19 @@ def weighted_covariance(stats, power, sigma_p, p, nu, scratch):
     w = _t_weight(sigma_squared(sigma_p, p, out=scratch[0]), power, nu, out=scratch[1])
     coords = (w[:, None, :] @ stats)[:, 0, :]
     coords *= (1.0 + 2.0 / nu) / stats.shape[1]
-    m = math.isqrt(stats.shape[2])
-    diag = np.arange(m)
+    return hermitian(coords)
+
+
+def hermitian(coords):
+    """Hermitian (..., M, M) matrices of coordinates (..., M^2) laid out by ``outer_products``."""
+    m = math.isqrt(coords.shape[-1])
     rows, cols = np.triu_indices(m, 1)
-    cov = np.empty((stats.shape[0], m, m), dtype=np.complex128)
-    cov[:, diag, diag] = coords[:, :m]
-    re, im = coords[:, m::2], coords[:, m + 1::2]
-    cov[:, rows, cols] = re + 1j * im
-    cov[:, cols, rows] = re - 1j * im
-    return cov
+    mats = np.empty(coords.shape[:-1] + (m, m), dtype=np.complex128)
+    mats[..., range(m), range(m)] = coords[..., :m]
+    re, im = coords[..., m::2], coords[..., m + 1::2]
+    mats[..., rows, cols] = re + 1j * im
+    mats[..., cols, rows] = re - 1j * im
+    return mats
 
 
 def ip_update(w_stack, cov, n):

@@ -33,7 +33,8 @@ A run holds, per bin and frame, the observation (16M bytes at M sources),
 its outer products (8M^2), the power and the scales (16M) and the work
 planes (16 per worker).  Before it allocates any of it, ``separate`` checks
 what it allocates, all but the caller's observation, against the memory the
-process may still use.
+process may still use.  Next, the sum of the outer products, the channel
+Gram, rejects silent or dependent channels and float64 overflow.
 """
 
 import itertools
@@ -63,9 +64,6 @@ RANK_TOLERANCE = 1e-12
 # Most workers a run uses, the calling thread included: the largest count at
 # which separation time and peak memory have been measured.
 MAX_WORKERS = 2
-
-# Bin-frame slots per block of the channel check's Gram.
-RANK_BLOCK = 1 << 16
 
 # Read, never written, for the memory the process may still use: the kernel's
 # estimate of memory available without swapping, and the cgroup v2 limit, use
@@ -392,11 +390,15 @@ def _iterate(state, nu, p, iterations, start_iteration=0):
 
 def _init_state(spec, hp, p, pool=None, workers=1):
     num_bins, num_frames, num_sources = spec.values.shape
+    # outer products out of float64's range are the check's to reject, not numpy's to warn of
+    with np.errstate(over="ignore", invalid="ignore"):
+        stats = demix.outer_products(spec.values)
+        _check_channel_rank(stats)
     demixing = np.tile(np.eye(num_sources, dtype=np.complex128), (num_bins, 1, 1))
     basis, activation = init_factors(num_sources, num_bins, num_frames, hp.num_bases, hp.seed)
     state = RunState(
         obs=spec.values,
-        stats=demix.outer_products(spec.values),
+        stats=stats,
         demixing=demixing,
         power=np.empty((num_sources, num_bins, num_frames)),
         basis=basis,
@@ -409,31 +411,22 @@ def _init_state(spec, hp, p, pool=None, workers=1):
     return state
 
 
-def _check_channel_rank(values):
-    """Reject channels that are silent or copies of one another, in the
-    C-contiguous complex128 ``values`` of a ``ComplexSpectrogram``.
-
-    The M x M channel Gram is summed over blocks of bins, each scaled by the
-    power of two that brings the largest real or imaginary part into
-    [0.5, 1).  That scaling is exact, so no input level overflows or
-    underflows the Gram, and no copy is larger than a block.  When its
-    smallest eigenvalue is at most RANK_TOLERANCE times the largest, W is
-    singular in every bin; the message names the silent channels, or else
-    those in the null direction.
+def _check_channel_rank(stats):
+    """Reject an input too loud for float64 outer products, and channels that
+    are silent or copies of one another, from the channel Gram: the sum of the
+    run's outer products ``stats`` over bins and frames.  When its smallest
+    eigenvalue is at most RANK_TOLERANCE times the largest, W is singular in
+    every bin; the message names the silent channels, or else those in the
+    null direction.
     """
-    num_bins, num_frames, m = values.shape
-    parts = values.view(np.float64)
-    _, exponent = math.frexp(max(np.max(parts), -np.min(parts)))
-    step = max(RANK_BLOCK // num_frames, 1)
-    gram = np.zeros((m, m), dtype=np.complex128)
-    for start in range(0, num_bins, step):
-        block = np.ldexp(parts[start:start + step], -exponent).view(np.complex128)
-        block = block.reshape(-1, m)
-        gram += block.T @ block.conj()
-    eigvals, eigvecs = np.linalg.eigh(gram)
+    coords = np.einsum("ijk->k", stats)  # of the Gram; the first M are the channel energies
+    if not np.all(np.isfinite(coords)):
+        raise TilrmaError("input level too high for float64 outer products: the channel "
+                          "Gram overflows; scale the input down")
+    eigvals, eigvecs = np.linalg.eigh(demix.hermitian(coords))
     if eigvals[0] > RANK_TOLERANCE * eigvals[-1]:
         return
-    energy = np.real(np.diag(gram))
+    energy = coords[:eigvals.size]
     silent = np.flatnonzero(energy <= RANK_TOLERANCE * np.max(energy)) + 1
     if silent.size:
         raise TilrmaError(
@@ -570,15 +563,15 @@ def separate(spec, hp):
     Raises
     ------
     TilrmaError
-        If there is one stream, a channel is silent or a linear combination
-        of the others, or the run needs more memory than the process may use.
+        If there is one stream, the run needs more memory than the process
+        may use, the input's outer products overflow float64, or a channel
+        is silent or a linear combination of the others.
     """
     started = time.perf_counter()
     if spec.num_streams < 2:
         raise TilrmaError("separation needs at least two channels")
     workers = _worker_count()
     _check_memory(spec, workers)
-    _check_channel_rank(spec.values)
     boundary = hp.gaussian_iters
     # the calling thread is one of the workers; leaving the block joins the
     # others, however the run ends.  At one worker nothing is submitted, so

@@ -219,6 +219,24 @@ class TestSeparate:
         assert re.search(r"^error: .*" + message, capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"])
+    def test_out_that_cannot_be_a_directory_is_rejected_before_separation(
+            self, mixture_fixture, tmp_path, capsys, monkeypatch, out):
+        def refuse(spec, hp):
+            raise AssertionError("separated although --out cannot be made")
+
+        monkeypatch.setattr(cli.engine, "separate", refuse)
+        (tmp_path / "taken").write_text("a file, not a directory\n")
+        before = sorted(tmp_path.rglob("*"))
+        mix_path, _ = mixture_fixture
+        code = cli.main(["separate", str(mix_path), "--iters", "2",
+                         "--out", str(tmp_path / out)] + SMALL_STFT)
+        assert code == 1
+        taken = re.escape(str(tmp_path / "taken"))
+        assert re.search(rf"^error: --out {re.escape(str(tmp_path / out))}: {taken} exists "
+                         r"and is not a directory$", capsys.readouterr().err)
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_failed_allocation_fails_cleanly(self, mixture_fixture, tmp_path, capsys,
                                              monkeypatch):
         # as a --taps far beyond the reference's length does: its normal

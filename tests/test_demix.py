@@ -147,6 +147,18 @@ class TestOuterProducts:
                 outer = np.outer(obs[i, j], obs[i, j].conj())
                 assert np.max(np.abs(unpacked - outer)) <= 1e-15 * np.max(np.abs(outer))
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_hermitian_unpacks_any_leading_shape(self, m):
+        rng = np.random.default_rng(30 + m)
+        obs = random_complex(rng, 3, 5, m)
+        stats = demix.outer_products(obs)
+        outer = obs[..., :, None] * obs[..., None, :].conj()
+        mats = demix.hermitian(stats)
+        assert mats.shape == (3, 5, m, m)
+        assert np.max(np.abs(mats - outer)) <= 1e-15 * np.max(np.abs(outer))
+        # one set of coordinates, as the channel Gram's sum over bins and frames is
+        assert np.array_equal(demix.hermitian(stats[1, 2]), mats[1, 2])
+
     def test_run_state_carries_them_and_finalize_releases_them(self):
         scene = synthetic.make_scene(0, num_bins=9, num_frames=16)
         spec = synthetic.scene_spectrogram(scene)

@@ -1,8 +1,10 @@
 import json
 import math
+import re
 import sys
 import threading
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
@@ -29,6 +31,28 @@ def small_scene_spec(seed, num_bins=33, num_frames=48, num_sources=2):
     scene = synthetic.make_scene(seed, num_bins=num_bins, num_frames=num_frames,
                                  num_sources=num_sources)
     return scene, synthetic.scene_spectrogram(scene)
+
+
+# The channel check's messages for make_scene(0) with a channel copied or silenced.
+CHANNEL_MESSAGES = {
+    "duplicated": "channel 2 duplicates channel(s) 1 (it is a linear combination of them): "
+                  "separation needs as many independent channels as sources; drop or "
+                  "replace the duplicated channel",
+    "silent": "silent channel(s) 1: separation needs as many independent channels as "
+              "sources; drop or replace the dead channel",
+}
+
+
+def level_scene_spec(defect, scale):
+    """make_scene(0) as it is ("clean"), with channel 2 a copy of channel 1
+    ("duplicated") or with channel 1 zeroed ("silent"), scaled by ``scale``."""
+    scene = synthetic.make_scene(0)
+    if defect == "duplicated":
+        scene.observation[:, :, 1] = scene.observation[:, :, 0]
+    elif defect == "silent":
+        scene.observation[:, :, 0] = 0.0
+    scene.observation *= scale
+    return synthetic.scene_spectrogram(scene)
 
 
 def power_of(y):
@@ -342,11 +366,33 @@ class TestRun:
         with pytest.raises(TilrmaError, match=message):
             engine.separate(spec, hp)
 
-    @pytest.mark.parametrize("scale", [1e-200, 1e160])
-    def test_channel_check_is_level_free(self, scale):
-        # independent channels pass at any level: no Gram entry over- or underflows
-        scene = synthetic.make_scene(0, num_bins=33, num_frames=48)
-        engine._check_channel_rank(scene.observation * scale)
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    @pytest.mark.parametrize("defect", ["clean", "duplicated", "silent"])
+    def test_channel_check_reads_the_run_outer_products(self, defect, scale):
+        # from 1e-150 to 1e150 no outer product over- or underflows, so the
+        # check on their sum gives the same verdict and message at every level
+        spec = level_scene_spec(defect, scale)
+        hp = HyperParams(nu=10.0, p=1.0, num_bases=2)
+        if defect == "clean":
+            engine._init_state(spec, hp, hp.p)
+            return
+        with pytest.raises(TilrmaError, match=f"^{re.escape(CHANNEL_MESSAGES[defect])}$"):
+            engine._init_state(spec, hp, hp.p)
+
+    @pytest.mark.parametrize("defect", ["clean", "duplicated", "silent"])
+    def test_overflowing_outer_products_are_rejected_before_iterating(self, defect):
+        hp = HyperParams(nu=10.0, p=1.0, num_bases=2, iterations=3, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(TilrmaError, match=r"^input level too high for float64 outer "
+                                                  r"products: the channel Gram overflows; "):
+                engine.separate(level_scene_spec(defect, 1e160), hp)
+
+    def test_outer_products_that_underflow_read_as_silent_channels(self):
+        # at 1e-200 every |x|^2 is exactly zero: at float64 resolution, silence
+        hp = HyperParams(nu=10.0, p=1.0, num_bases=2, iterations=3, seed=0)
+        with pytest.raises(TilrmaError, match=r"^silent channel\(s\) 1, 2: "):
+            engine.separate(level_scene_spec("clean", 1e-200), hp)
 
     def test_power_matches_demixed_observation(self):
         # the cached |y|^2 must equal |W_i x_ij|^2 of the current W after
